@@ -1,8 +1,10 @@
 # Developer entry points. `make check` is the tier-1 verify referenced
 # from ROADMAP.md; `make race` exercises the concurrent packages (the
 # worker-pool executor, the vector kernels, the solvers built on them and
-# the fault-injection harness) under the race detector; `make fuzz` runs a
-# short smoke pass of every fuzz target over the untrusted-input parsers;
+# the fault-injection harness) under the race detector at 1, 2 and 4 cores,
+# so timing assumptions that hold only at some core counts fail; `make fuzz`
+# runs a short smoke pass of every fuzz target over the untrusted-input
+# parsers and the exact block counter;
 # `make gencheck` regenerates the block kernels into a temp dir and fails
 # if the committed *_gen.go files have drifted from the generator.
 
@@ -43,7 +45,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -cpu 1,2,4 $(RACE_PKGS)
 
 # Go runs one fuzz target per invocation, so each gets its own line.
 fuzz:
@@ -57,10 +59,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzVBRPartition$$' -fuzztime $(FUZZTIME) ./internal/partition
 	$(GO) test -run '^$$' -fuzz '^FuzzVBLRowBlocks$$' -fuzztime $(FUZZTIME) ./internal/partition
 	$(GO) test -run '^$$' -fuzz '^FuzzSELLConstruction$$' -fuzztime $(FUZZTIME) ./internal/sell
+	$(GO) test -run '^$$' -fuzz '^FuzzCountShapes$$' -fuzztime $(FUZZTIME) ./internal/blocks
 
 bench:
 	$(GO) test -bench 'MulVecWorkers|SolveCGWorkers' -benchmem \
 	    ./internal/parallel ./internal/solver
+	$(GO) test -run '^$$' -bench 'EnumerateStatsAll' -benchtime 3x ./internal/core
 
 # bench-json regenerates the tracked machine-readable benchmark
 # artifacts: BENCH_compress.json (index-compression experiment: bytes/nnz,

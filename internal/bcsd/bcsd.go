@@ -21,7 +21,7 @@ package bcsd
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"blockspmv/internal/blocks"
 	"blockspmv/internal/floats"
@@ -114,7 +114,8 @@ func (a *Mat[T, I]) build(entries []mat.Entry[T]) {
 			e := entries[i]
 			starts = append(starts, e.Col-(e.Row-int32(seg*b)))
 		}
-		sortUnique(&starts)
+		slices.Sort(starts)
+		starts = slices.Compact(starts)
 
 		// Interior blocks form the sorted middle: start >= 0 and
 		// start+b <= cols. Leading negatives and trailing overhangs go to
@@ -152,7 +153,7 @@ func (a *Mat[T, I]) build(entries []mat.Entry[T]) {
 			k := int(e.Row) - seg*b
 			start := e.Col - int32(k)
 			if start >= 0 && int(start)+b <= a.cols {
-				bi, ok := search(interior, start)
+				bi, ok := slices.BinarySearch(interior, start)
 				if !ok {
 					panic("bcsd: interior block lookup failed")
 				}
@@ -380,37 +381,6 @@ var (
 	_ formats.Instance[float64] = (*Mat[float64, uint16])(nil)
 	_ formats.Instance[float64] = (*Mat[float64, uint8])(nil)
 )
-
-func sortUnique(a *[]int32) {
-	s := *a
-	if len(s) < 2 {
-		return
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	out := s[:1]
-	for _, v := range s[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	*a = out
-}
-
-func search(s []int32, v int32) (int, bool) {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s) && s[lo] == v {
-		return lo, true
-	}
-	return 0, false
-}
 
 // WithImpl implements formats.Instance: a view over the same arrays with
 // a different kernel implementation class.

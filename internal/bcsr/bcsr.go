@@ -23,7 +23,7 @@ package bcsr
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"blockspmv/internal/blocks"
 	"blockspmv/internal/floats"
@@ -127,7 +127,8 @@ func (a *Mat[T, I]) build(entries []mat.Entry[T]) {
 		for i := sp.lo; i < sp.hi; i++ {
 			cols = append(cols, entries[i].Col/int32(c)*int32(c))
 		}
-		sortUniqueInt32(&cols)
+		slices.Sort(cols)
+		cols = slices.Compact(cols)
 
 		// Split into interior and edge blocks; cols is sorted, so any edge
 		// block (there can be at most one: the last aligned position) is
@@ -156,7 +157,7 @@ func (a *Mat[T, I]) build(entries []mat.Entry[T]) {
 			startCol := e.Col / int32(c) * int32(c)
 			pos := (int(e.Row)%r)*c + int(e.Col-startCol)
 			if int(startCol)+c <= a.cols {
-				bi, ok := searchInt32(interior, startCol)
+				bi, ok := slices.BinarySearch(interior, startCol)
 				if !ok {
 					panic("bcsr: interior block lookup failed")
 				}
@@ -393,39 +394,6 @@ var (
 	_ formats.Instance[float32] = (*Mat[float32, uint16])(nil)
 	_ formats.Instance[float32] = (*Mat[float32, uint8])(nil)
 )
-
-// sortUniqueInt32 sorts *a and removes duplicates in place.
-func sortUniqueInt32(a *[]int32) {
-	s := *a
-	if len(s) < 2 {
-		return
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	out := s[:1]
-	for _, v := range s[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	*a = out
-}
-
-// searchInt32 binary-searches v in sorted s.
-func searchInt32(s []int32, v int32) (int, bool) {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s) && s[lo] == v {
-		return lo, true
-	}
-	return 0, false
-}
 
 // searchInt32From finds the edge block with block row br and start column
 // col by scanning backwards (edge blocks of the current block row are

@@ -2,10 +2,12 @@ package blocks
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"blockspmv/internal/mat"
+	"blockspmv/internal/suite"
 )
 
 func TestShapeEnumeration(t *testing.T) {
@@ -191,4 +193,189 @@ func TestCountInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// refCount is the reference counter CountShapes is checked against: per
+// block row it gathers every nonzero's block key (block column for
+// rectangles, diagonal start column for diagonals), sorts the keys and
+// counts the runs. It is deliberately the simplest correct algorithm,
+// independent of CountShapes' merge and scan.
+func refCount(p *mat.Pattern, s Shape) Count {
+	cnt := Count{Shape: s}
+	elems := int64(s.Elems())
+	var keys []int32
+	for r0 := 0; r0 < p.Rows; r0 += s.R {
+		r1 := min(r0+s.R, p.Rows)
+		keys = keys[:0]
+		for row := r0; row < r1; row++ {
+			for _, col := range p.RowCols(row) {
+				if s.Kind == Diag {
+					keys = append(keys, col-int32(row-r0))
+				} else {
+					keys = append(keys, col/int32(s.C))
+				}
+			}
+		}
+		slices.Sort(keys)
+		for i := 0; i < len(keys); {
+			j := i + 1
+			for j < len(keys) && keys[j] == keys[i] {
+				j++
+			}
+			cnt.Blocks++
+			first, last := int(keys[i]), int(keys[i])+s.R-1 // diagonal block's columns
+			if s.Kind == Rect {
+				first, last = int(keys[i])*s.C, int(keys[i])*s.C+s.C-1
+			}
+			if r1-r0 == s.R && int64(j-i) == elems && first >= 0 && last < p.Cols {
+				cnt.FullBlocks++
+			}
+			i = j
+		}
+	}
+	cnt.Padding = cnt.Blocks*elems - int64(p.NNZ())
+	cnt.RemainderNNZ = int64(p.NNZ()) - cnt.FullBlocks*elems
+	return cnt
+}
+
+// checkAgainstRef compares CountShapes over every shape with refCount.
+func checkAgainstRef(t *testing.T, name string, p *mat.Pattern) {
+	t.Helper()
+	shapes := AllShapes()
+	got := CountShapes(p, shapes)
+	for i, s := range shapes {
+		if want := refCount(p, s); got[i] != want {
+			t.Errorf("%s (%dx%d, nnz %d) shape %v: CountShapes = %+v, reference = %+v",
+				name, p.Rows, p.Cols, p.NNZ(), s, got[i], want)
+		}
+	}
+}
+
+// randomPattern draws a rows x cols pattern mixing scattered entries
+// with dense tiles at random (mostly unaligned) offsets, so full blocks,
+// near-full blocks, empty rows and edge overhangs all occur.
+func randomPattern(rng *rand.Rand, rows, cols int) *mat.Pattern {
+	m := mat.New[float64](rows, cols)
+	for k := rng.Intn(rows*cols/3 + 1); k > 0; k-- {
+		m.Add(int32(rng.Intn(rows)), int32(rng.Intn(cols)), 1)
+	}
+	for k := rng.Intn(6); k > 0; k-- {
+		r0, c0 := rng.Intn(rows), rng.Intn(cols)
+		h, w := 1+rng.Intn(8), 1+rng.Intn(8)
+		diag := rng.Intn(2) == 0
+		for i := 0; i < h && r0+i < rows; i++ {
+			for j := 0; j < w && c0+j < cols; j++ {
+				if !diag || i == j {
+					m.Add(int32(r0+i), int32(c0+j), 1)
+				}
+			}
+		}
+	}
+	m.Finalize()
+	return mat.PatternOf(m)
+}
+
+// TestCountShapesMatchesReference property-checks CountShapes against the
+// reference counter on random patterns from 1x1 up to 48x48, including
+// 1-row and 1-column matrices.
+func TestCountShapesMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		rows, cols := 1+rng.Intn(48), 1+rng.Intn(48)
+		switch rng.Intn(4) {
+		case 0:
+			rows = 1
+		case 1:
+			cols = 1
+		}
+		checkAgainstRef(t, "random", randomPattern(rng, rows, cols))
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCountShapesEdges pins the boundary cases by construction: an empty
+// pattern, empty rows inside a block row, a partial last block row or
+// segment, blocks overhanging the right edge, diagonal blocks starting
+// left of column 0, and single-row and single-column matrices.
+func TestCountShapesEdges(t *testing.T) {
+	cases := []struct {
+		name       string
+		rows, cols int
+		coords     [][2]int32
+	}{
+		{"empty", 9, 9, nil},
+		{"empty rows", 8, 8, [][2]int32{{0, 0}, {0, 1}, {3, 3}, {7, 0}}},
+		{"partial last block row", 7, 8, [][2]int32{{6, 0}, {6, 1}, {5, 0}, {5, 1}, {4, 4}}},
+		{"right-edge overhang", 4, 7, [][2]int32{{0, 6}, {1, 6}, {2, 5}, {2, 6}, {3, 5}, {3, 6}}},
+		{"negative diagonal starts", 8, 8, [][2]int32{{1, 0}, {2, 0}, {3, 1}, {5, 4}, {6, 4}, {7, 6}}},
+		{"one row", 1, 17, [][2]int32{{0, 0}, {0, 1}, {0, 2}, {0, 3}, {0, 8}, {0, 16}}},
+		{"one column", 17, 1, [][2]int32{{0, 0}, {1, 0}, {2, 0}, {3, 0}, {8, 0}, {16, 0}}},
+		{"one cell", 1, 1, [][2]int32{{0, 0}}},
+	}
+	for _, tc := range cases {
+		checkAgainstRef(t, tc.name, patternFrom(tc.rows, tc.cols, tc.coords))
+	}
+}
+
+// TestCountShapesSuite checks CountShapes against the reference on every
+// suite archetype at tiny scale.
+func TestCountShapesSuite(t *testing.T) {
+	for _, info := range suite.Infos() {
+		m := suite.MustBuild[float64](info.ID, suite.Tiny)
+		checkAgainstRef(t, info.Name, mat.PatternOf(m))
+	}
+}
+
+// TestCountShapesOrderAndRepeats checks that counts come back in the
+// order asked, repeated shapes included, and that the single-shape
+// wrappers agree with CountShapes.
+func TestCountShapesOrderAndRepeats(t *testing.T) {
+	p := randomPattern(rand.New(rand.NewSource(7)), 30, 30)
+	shapes := []Shape{DiagShape(3), RectShape(2, 2), RectShape(1, 1), DiagShape(3), RectShape(2, 1)}
+	got := CountShapes(p, shapes)
+	for i, s := range shapes {
+		if got[i].Shape != s || got[i] != CountForShape(p, s) {
+			t.Errorf("shape %d (%v): got %+v, want %+v", i, s, got[i], CountForShape(p, s))
+		}
+	}
+	if CountRect(p, 2, 2) != got[1] || CountDiag(p, 3) != got[0] {
+		t.Error("CountRect/CountDiag disagree with CountShapes")
+	}
+	if len(CountShapes(p, nil)) != 0 {
+		t.Error("CountShapes(nil) returned counts")
+	}
+	for _, bad := range []Shape{RectShape(3, 3), RectShape(0, 2), DiagShape(1), DiagShape(9)} {
+		func() {
+			defer func() {
+				if _, ok := recover().(*ShapeError); !ok {
+					t.Errorf("CountShapes(%v) did not panic with a *ShapeError", bad)
+				}
+			}()
+			CountShapes(p, []Shape{RectShape(2, 2), bad})
+		}()
+	}
+}
+
+// FuzzCountShapes decodes the input as a pattern (first two bytes: rows
+// and columns, 1..64; then one (row, col) byte pair per entry, reduced
+// modulo the dimensions) and checks CountShapes against the reference.
+func FuzzCountShapes(f *testing.F) {
+	f.Add([]byte{4, 4, 0, 0, 0, 1, 1, 0, 1, 1, 3, 3})
+	f.Add([]byte{7, 5, 6, 0, 6, 1, 1, 0, 2, 1, 3, 2, 4, 4})
+	f.Add([]byte{1, 9, 0, 0, 0, 1, 0, 2, 0, 8})
+	f.Add([]byte{9, 1, 0, 0, 1, 0, 2, 0, 8, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		rows, cols := 1+int(data[0])%64, 1+int(data[1])%64
+		var coords [][2]int32
+		for b := data[2:]; len(b) >= 2; b = b[2:] {
+			coords = append(coords, [2]int32{int32(int(b[0]) % rows), int32(int(b[1]) % cols)})
+		}
+		checkAgainstRef(t, "fuzz", patternFrom(rows, cols, coords))
+	})
 }

@@ -1,8 +1,7 @@
 package blocks
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 
 	"blockspmv/internal/mat"
 )
@@ -38,39 +37,7 @@ type Count struct {
 // (overhanging positions are padding and can never be part of a full
 // block).
 func CountRect(p *mat.Pattern, r, c int) Count {
-	s := RectShape(r, c)
-	if !s.Valid() && !s.IsUnit() {
-		panic(fmt.Sprintf("blocks: invalid rect shape %dx%d", r, c))
-	}
-	cnt := Count{Shape: s}
-	elems := int64(r * c)
-	var buf []int32
-	for br := 0; br*r < p.Rows; br++ {
-		rowEnd := min((br+1)*r, p.Rows)
-		fullRows := rowEnd-br*r == r // bottom-edge block rows can't be full
-		buf = buf[:0]
-		for row := br * r; row < rowEnd; row++ {
-			for _, col := range p.RowCols(row) {
-				buf = append(buf, col/int32(c))
-			}
-		}
-		sortInt32(buf)
-		for i := 0; i < len(buf); {
-			j := i + 1
-			for j < len(buf) && buf[j] == buf[i] {
-				j++
-			}
-			cnt.Blocks++
-			// A full block needs all r*c positions inside the matrix.
-			if fullRows && int64(j-i) == elems && int(buf[i]+1)*c <= p.Cols {
-				cnt.FullBlocks++
-			}
-			i = j
-		}
-	}
-	cnt.Padding = cnt.Blocks*elems - int64(p.NNZ())
-	cnt.RemainderNNZ = int64(p.NNZ()) - cnt.FullBlocks*elems
-	return cnt
+	return CountShapes(p, []Shape{RectShape(r, c)})[0]
 }
 
 // CountDiag counts aligned diagonal blocks of length b. The matrix is split
@@ -79,39 +46,183 @@ func CountRect(p *mat.Pattern, r, c int) Count {
 // columns may be negative or overhang the right edge; such boundary blocks
 // are stored clipped and can never be full.
 func CountDiag(p *mat.Pattern, b int) Count {
-	s := DiagShape(b)
-	if !s.Valid() {
-		panic(fmt.Sprintf("blocks: invalid diag length %d", b))
+	return CountShapes(p, []Shape{DiagShape(b)})[0]
+}
+
+// CountShapes counts every shape of shapes (rectangular shapes including
+// the degenerate 1x1) and returns the counts in the same order. It panics
+// with a *ShapeError on an unsupported shape. Like every reader of
+// mat.Pattern, it relies on each row's columns being sorted and
+// distinct.
+//
+// Shapes that share a kind and a height share one pass over the block
+// rows: the block row's already-sorted pattern rows (for diagonal blocks,
+// each shifted left by its offset within the segment) are merged pairwise
+// into one sorted buffer, and each shape of the group then takes one
+// linear scan of it. A rectangular scan jumps from a block's first
+// column to the block's end, so it divides once per block, not once per
+// nonzero.
+func CountShapes(p *mat.Pattern, shapes []Shape) []Count {
+	type group struct {
+		kind Kind
+		r    int
+		idx  []int // positions in shapes
 	}
-	cnt := Count{Shape: s}
-	var buf []int32
-	for seg := 0; seg*b < p.Rows; seg++ {
-		rowEnd := min((seg+1)*b, p.Rows)
-		fullRows := rowEnd-seg*b == b
-		buf = buf[:0]
-		for row := seg * b; row < rowEnd; row++ {
-			off := int32(row - seg*b)
-			for _, col := range p.RowCols(row) {
-				buf = append(buf, col-off) // may be negative: boundary block
+	var groups []group
+	for i, s := range shapes {
+		if err := s.Check(); err != nil {
+			panic(err)
+		}
+		g := slices.IndexFunc(groups, func(g group) bool { return g.kind == s.Kind && g.r == s.R })
+		if g < 0 {
+			groups = append(groups, group{kind: s.Kind, r: s.R})
+			g = len(groups) - 1
+		}
+		groups[g].idx = append(groups[g].idx, i)
+	}
+	out := make([]Count, len(shapes))
+	for i, s := range shapes {
+		out[i].Shape = s
+	}
+	var m merger
+	for _, g := range groups {
+		for r0 := 0; r0 < p.Rows; r0 += g.r {
+			merged := m.merge(p, r0, min(r0+g.r, p.Rows), g.kind == Diag)
+			for _, i := range g.idx {
+				if g.kind == Diag {
+					scanDiag(&out[i], merged, g.r)
+				} else {
+					scanRect(&out[i], merged, shapes[i].R, shapes[i].C)
+				}
 			}
 		}
-		sortInt32(buf)
-		for i := 0; i < len(buf); {
-			j := i + 1
-			for j < len(buf) && buf[j] == buf[i] {
-				j++
-			}
-			cnt.Blocks++
-			start := buf[i]
-			if fullRows && j-i == b && start >= 0 && int(start)+b <= p.Cols {
-				cnt.FullBlocks++
-			}
-			i = j
-		}
 	}
-	cnt.Padding = cnt.Blocks*int64(b) - int64(p.NNZ())
-	cnt.RemainderNNZ = int64(p.NNZ()) - cnt.FullBlocks*int64(b)
-	return cnt
+	nnz := int64(p.NNZ())
+	for i := range out {
+		elems := int64(out[i].Shape.Elems())
+		out[i].Padding = out[i].Blocks*elems - nnz
+		out[i].RemainderNNZ = nnz - out[i].FullBlocks*elems
+	}
+	return out
+}
+
+// scanRect adds the r x c blocks of one merged block row to cnt. cols is
+// sorted and holds each column once per pattern row that has it. Every
+// entry of a block is a distinct position inside the matrix, so a block
+// holding r*c entries is full: a block on a short bottom block row or
+// overhanging the right edge cannot reach that count.
+func scanRect(cnt *Count, cols []int32, r, c int) {
+	elems := r * c
+	for i := 0; i < len(cols); {
+		end := (int(cols[i])/c + 1) * c // first column past this block
+		j := i + 1
+		for j < len(cols) && int(cols[j]) < end {
+			j++
+		}
+		cnt.Blocks++
+		if j-i == elems {
+			cnt.FullBlocks++
+		}
+		i = j
+	}
+}
+
+// scanDiag adds the length-b diagonal blocks of one merged segment to
+// cnt. starts is sorted and holds, per nonzero, the start column of its
+// diagonal block. As in scanRect, a block with b entries is full; a
+// boundary block (short segment, start left of column 0, overhang past
+// the right edge) always has fewer.
+func scanDiag(cnt *Count, starts []int32, b int) {
+	for i := 0; i < len(starts); {
+		j := i + 1
+		for j < len(starts) && starts[j] == starts[i] {
+			j++
+		}
+		cnt.Blocks++
+		if j-i == b {
+			cnt.FullBlocks++
+		}
+		i = j
+	}
+}
+
+// merger holds the reused buffers of CountShapes' per-block-row merge.
+type merger struct {
+	a, b []int32
+	runs []int // run k is a[runs[k]:runs[k+1]]
+}
+
+// merge returns the column indices of pattern rows [r0, r1) as one sorted
+// slice, duplicates kept. With shift, row r0+k contributes col-k: the
+// start column of the diagonal block through each nonzero. The result
+// aliases the pattern (one row, which needs no shift) or the merger's
+// buffers (valid until the next call).
+func (m *merger) merge(p *mat.Pattern, r0, r1 int, shift bool) []int32 {
+	if r1-r0 == 1 {
+		return p.RowCols(r0)
+	}
+	n := int(p.RowPtr[r1] - p.RowPtr[r0])
+	if cap(m.a) < n {
+		m.a, m.b = make([]int32, n), make([]int32, n)
+	}
+	m.a, m.b = m.a[:n], m.b[:n]
+	// The first level merges row pairs straight out of the pattern,
+	// applying the shift; later levels merge neighbouring runs pairwise,
+	// ping-ponging between the buffers, until one run is left.
+	m.runs = append(m.runs[:0], 0)
+	for row := r0; row < r1; row += 2 {
+		var dx, dy int32
+		if shift {
+			dx, dy = int32(row-r0), int32(row-r0+1)
+		}
+		x, y := p.RowCols(row), []int32(nil)
+		if row+1 < r1 {
+			y = p.RowCols(row + 1)
+		}
+		lo := m.runs[len(m.runs)-1]
+		mergeShifted(m.a[lo:lo+len(x)+len(y)], x, y, dx, dy)
+		m.runs = append(m.runs, lo+len(x)+len(y))
+	}
+	for len(m.runs) > 2 {
+		w := 0
+		for k := 0; k+1 < len(m.runs); k += 2 {
+			lo, mid := m.runs[k], m.runs[k+1]
+			hi := mid
+			if k+2 < len(m.runs) {
+				hi = m.runs[k+2]
+			}
+			mergeShifted(m.b[lo:hi], m.a[lo:mid], m.a[mid:hi], 0, 0)
+			m.runs[w] = lo
+			w++
+		}
+		m.runs[w] = n
+		m.runs = m.runs[:w+1]
+		m.a, m.b = m.b, m.a
+	}
+	return m.a
+}
+
+// mergeShifted merges the sorted slices x and y, shifted down by dx and
+// dy, into dst, which has room for both.
+func mergeShifted(dst, x, y []int32, dx, dy int32) {
+	i, j, k := 0, 0, 0
+	for i < len(x) && j < len(y) {
+		a, b := x[i]-dx, y[j]-dy
+		if b < a {
+			dst[k] = b
+			j++
+		} else {
+			dst[k] = a
+			i++
+		}
+		k++
+	}
+	for ; i < len(x); i, k = i+1, k+1 {
+		dst[k] = x[i] - dx
+	}
+	for ; j < len(y); j, k = j+1, k+1 {
+		dst[k] = y[j] - dy
+	}
 }
 
 // CountVBL returns the number of variable-length horizontal blocks 1D-VBL
@@ -138,14 +249,7 @@ func CountVBL(p *mat.Pattern, maxLen int) int64 {
 	return blocks
 }
 
-// CountForShape dispatches to CountRect or CountDiag.
+// CountForShape counts one shape of either kind.
 func CountForShape(p *mat.Pattern, s Shape) Count {
-	if s.Kind == Diag {
-		return CountDiag(p, s.R)
-	}
-	return CountRect(p, s.R, s.C)
-}
-
-func sortInt32(a []int32) {
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
+	return CountShapes(p, []Shape{s})[0]
 }

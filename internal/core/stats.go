@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"blockspmv/internal/blocks"
 	"blockspmv/internal/csrdu"
@@ -106,7 +107,7 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // StatsFor computes the model inputs for one candidate from a sparsity
 // pattern. valSize is the element size in bytes (4 or 8). The per-shape
-// block counting is exact; see blocks.CountRect/CountDiag. CSR-DU
+// block counting is exact; see blocks.CountShapes. CSR-DU
 // candidates additionally walk the pattern once to size the encoded
 // delta stream exactly (csrdu.StreamBytes).
 func StatsFor(p *mat.Pattern, c Candidate, valSize int) CandidateStats {
@@ -261,24 +262,37 @@ func statsFromCount(p *mat.Pattern, c Candidate, valSize int, cnt blocks.Count, 
 	return cs
 }
 
+// blockCounts counts, in one blocks.CountShapes call, every distinct
+// shape the fixed-block candidates among cands use. CSR candidates need
+// no count (statsFromCount prices them from nnz alone), and the other
+// methods price their own structures.
+func blockCounts(p *mat.Pattern, cands []Candidate) map[blocks.Shape]blocks.Count {
+	var shapes []blocks.Shape
+	for _, c := range cands {
+		switch c.Method {
+		case BCSR, BCSRDec, BCSD, BCSDDec:
+			if !slices.Contains(shapes, c.Shape) {
+				shapes = append(shapes, c.Shape)
+			}
+		}
+	}
+	counts := make(map[blocks.Shape]blocks.Count, len(shapes))
+	for _, cnt := range blocks.CountShapes(p, shapes) {
+		counts[cnt.Shape] = cnt
+	}
+	return counts
+}
+
 // EnumerateStats computes CandidateStats for the entire selection space of
-// Candidates(), sharing one block-counting pass per shape across the four
+// Candidates(), sharing one block count per shape across the four
 // method/impl combinations that use it.
 func EnumerateStats(p *mat.Pattern, valSize int) []CandidateStats {
-	counts := make(map[blocks.Shape]blocks.Count)
-	shapeCount := func(s blocks.Shape) blocks.Count {
-		if cnt, ok := counts[s]; ok {
-			return cnt
-		}
-		cnt := blocks.CountForShape(p, s)
-		counts[s] = cnt
-		return cnt
-	}
-	irregular := p.IrregularAccesses(IrregularGap)
 	cands := Candidates()
+	counts := blockCounts(p, cands)
+	irregular := p.IrregularAccesses(IrregularGap)
 	out := make([]CandidateStats, len(cands))
 	for i, c := range cands {
-		out[i] = statsFromCount(p, c, valSize, shapeCount(c.Shape), irregular)
+		out[i] = statsFromCount(p, c, valSize, counts[c.Shape], irregular)
 	}
 	return out
 }
@@ -289,28 +303,19 @@ func EnumerateStats(p *mat.Pattern, valSize int) []CandidateStats {
 // sliced ELLPACK candidates (CandidatesSell): the superset the facade
 // and the compression experiments rank, with the paper's baseline space
 // as a stable prefix. The CSR-DU stream is sized once and shared
-// between its scalar and simd candidates; block counts are shared with
-// the baseline enumeration; each variable-block partition and each
-// SELL (C, σ) layout is priced once and shared across implementations
-// and index widths.
+// between its scalar and simd candidates; each block shape is counted
+// once, and each variable-block partition and each SELL (C, σ) layout
+// priced once, then shared across implementations and index widths.
 func EnumerateStatsAll(p *mat.Pattern, valSize int) []CandidateStats {
-	counts := make(map[blocks.Shape]blocks.Count)
-	shapeCount := func(s blocks.Shape) blocks.Count {
-		if cnt, ok := counts[s]; ok {
-			return cnt
-		}
-		cnt := blocks.CountForShape(p, s)
-		counts[s] = cnt
-		return cnt
-	}
+	cands := append(Candidates(), CandidatesCompressed(p.Cols)...)
+	cands = append(cands, CandidatesPartitioned()...)
+	cands = append(cands, CandidatesSell(p.Cols)...)
+	counts := blockCounts(p, cands)
 	irregular := p.IrregularAccesses(IrregularGap)
 	streamBytes := int64(-1)
 	partStats := make(map[Candidate]partition.Stats)
 	sellLayouts := make(map[[2]int]sell.Layout)
 	var out []CandidateStats
-	cands := append(Candidates(), CandidatesCompressed(p.Cols)...)
-	cands = append(cands, CandidatesPartitioned()...)
-	cands = append(cands, CandidatesSell(p.Cols)...)
 	for _, c := range cands {
 		switch c.Method {
 		case CSRDU:
@@ -335,7 +340,7 @@ func EnumerateStatsAll(p *mat.Pattern, valSize int) []CandidateStats {
 			}
 			out = append(out, sellStats(p, c, valSize, l, irregular))
 		default:
-			out = append(out, statsFromCount(p, c, valSize, shapeCount(c.Shape), irregular))
+			out = append(out, statsFromCount(p, c, valSize, counts[c.Shape], irregular))
 		}
 	}
 	return out

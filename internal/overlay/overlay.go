@@ -47,8 +47,10 @@
 package overlay
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -145,6 +147,13 @@ type state[T floats.Float] struct {
 	nnzDelta   int64 // effective NNZ minus base NNZ
 	extraBytes int64 // extra bytes streamed per multiply (see ExtraBytes)
 	sealed     bool
+
+	// reverted records, from the last MergedCOO until the next
+	// SealAndDrain (tracking set), every cell an update returned to base
+	// and so dropped from the pending set. The merge may have captured
+	// such a cell's earlier pending value, so the drain must replay it.
+	tracking bool
+	reverted [][2]int32
 }
 
 // Overlay wraps a format instance with a mutable delta set. It
@@ -475,6 +484,9 @@ func (st *state[T]) setCell(row, col int32, v T) {
 	cellBytes := int64(4 + floats.SizeOf[T]())
 	switch {
 	case backToBase && exists:
+		if st.tracking {
+			st.reverted = append(st.reverted, [2]int32{row, col})
+		}
 		st.nnzDelta -= cellContrib(rd.vals[q], baseHas)
 		rd.cols = append(rd.cols[:q], rd.cols[q+1:]...)
 		rd.vals = append(rd.vals[:q], rd.vals[q+1:]...)
@@ -548,9 +560,17 @@ func (st *state[T]) dirtyRowBytes(row int32) int64 {
 }
 
 // MergedCOO returns a freshly assembled, finalized COO of the effective
-// matrix — the recompaction input. The receiver is unchanged.
+// matrix — the recompaction input. The effective matrix is unchanged;
+// from this call on the overlay remembers the cells updates return to
+// base, so the next SealAndDrain can report them.
 func (o *Overlay[T]) MergedCOO() *mat.COO[T] {
 	st := o.st
+	// Tracking starts before the snapshot, so every update after the
+	// snapshot is tracked; one landing in between is tracked and also
+	// captured, which the idempotent replay tolerates.
+	st.mu.Lock()
+	st.tracking, st.reverted = true, st.reverted[:0]
+	st.mu.Unlock()
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	es := st.coo.Entries()
@@ -584,12 +604,16 @@ func (o *Overlay[T]) MergedCOO() *mat.COO[T] {
 	return mat.FromEntries(o.base.Rows(), o.base.Cols(), out)
 }
 
-// SealAndDrain seals the overlay against further updates and returns a
-// snapshot of every pending cell as idempotent OpSet updates (deletes
-// as zero-valued sets). The pending set itself is retained so in-flight
-// reads keep seeing the full effective matrix; the recompaction swap
-// replays the drained set onto the replacement overlay, where cells the
-// new base already absorbed vanish as no-ops.
+// SealAndDrain seals the overlay against further updates and returns,
+// as idempotent OpSet updates (deletes as zero-valued sets), every cell
+// whose effective value may differ from the last MergedCOO snapshot:
+// each pending cell, plus each cell an update returned to base since
+// the snapshot, set to its base value. Without the latter, a delete of
+// a cell the snapshot captured as an insert would be lost. The pending
+// set itself is retained so in-flight reads keep seeing the full
+// effective matrix; the recompaction swap replays the drained set onto
+// the replacement overlay, where cells the new base already absorbed
+// vanish as no-ops.
 func (o *Overlay[T]) SealAndDrain() []Update[T] {
 	st := o.st
 	st.mu.Lock()
@@ -601,6 +625,19 @@ func (o *Overlay[T]) SealAndDrain() []Update[T] {
 			out = append(out, Update[T]{Op: OpSet, Row: rd.row, Col: c, Val: rd.vals[q]})
 		}
 	}
+	slices.SortFunc(st.reverted, func(a, b [2]int32) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	for _, rc := range slices.Compact(st.reverted) {
+		if rd := st.findRow(rc[0]); rd != nil {
+			if _, ok := findCol(rd.cols, rc[1]); ok {
+				continue // pending again: drained above
+			}
+		}
+		v, _ := st.baseValue(rc[0], rc[1])
+		out = append(out, Update[T]{Op: OpSet, Row: rc[0], Col: rc[1], Val: v})
+	}
+	st.tracking, st.reverted = false, nil
 	return out
 }
 

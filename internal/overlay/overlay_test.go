@@ -421,6 +421,53 @@ func TestSealDrainReplay(t *testing.T) {
 	}
 }
 
+// TestDrainReplaysCellsRevertedAfterMerge is the recompaction handshake
+// with updates landing between the merge snapshot and the seal: cells
+// the snapshot captured as pending and that later returned to base (a
+// delete of an inserted cell, a set back to the base value) must be
+// drained, or the replacement keeps the stale snapshot value.
+func TestDrainReplaysCellsRevertedAfterMerge(t *testing.T) {
+	m := mat.New[float64](4, 4)
+	m.Add(1, 1, 2)
+	m.Add(2, 3, 3)
+	m.Finalize()
+	ov := overlay.Wrap(csr.FromCOO(m, blocks.Scalar), m.Clone())
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(ov.Set(0, 3, 5)) // insert, later deleted
+	must(ov.Set(1, 1, 7)) // overwrite, later set back to the base 2
+	must(ov.Set(3, 0, 9)) // insert that stays
+	merged := ov.MergedCOO()
+	must(ov.Delete(0, 3))
+	must(ov.Set(1, 1, 2))
+	must(ov.Set(2, 3, 4)) // pending only after the snapshot
+	if p := ov.Pending(); p != 2 {
+		t.Fatalf("pending = %d, want 2", p)
+	}
+	drained := ov.SealAndDrain()
+	want := []overlay.Update[float64]{
+		{Op: overlay.OpSet, Row: 2, Col: 3, Val: 4},
+		{Op: overlay.OpSet, Row: 3, Col: 0, Val: 9},
+		{Op: overlay.OpSet, Row: 0, Col: 3, Val: 0},
+		{Op: overlay.OpSet, Row: 1, Col: 1, Val: 2},
+	}
+	if fmt.Sprint(drained) != fmt.Sprint(want) {
+		t.Fatalf("drained %v, want %v", drained, want)
+	}
+	next := overlay.Wrap(csr.FromCOO(merged, blocks.Scalar), merged)
+	must(next.Apply(drained))
+	got, exp := next.MergedCOO().ToDense(), ov.MergedCOO().ToDense()
+	for i := range exp {
+		if got[i] != exp[i] {
+			t.Fatalf("replacement cell (%d,%d) = %g, want %g", i/4, i%4, got[i], exp[i])
+		}
+	}
+}
+
 // TestExactAccounting pins the construction-free byte accounting to
 // hand-computed values on a tiny matrix: per dirty row 12 bytes plus the
 // re-streamed base entries, per pending cell 12 bytes (int32 col +

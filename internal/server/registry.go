@@ -210,8 +210,17 @@ type Registry struct {
 
 	// Background recompaction machinery: Close signals stopc and waits on
 	// wg so no recompactor or ticker goroutine outlives the registry.
-	wg    sync.WaitGroup
-	stopc chan struct{}
+	// recompacts counts the recompactions in flight; idle (on mu) is
+	// broadcast when it drops to zero, for quiesce.
+	wg         sync.WaitGroup
+	stopc      chan struct{}
+	recompacts int
+	idle       sync.Cond
+
+	// afterMerge, when set before the first update, runs in every
+	// recompaction between the merge snapshot and the re-tune, so a
+	// test can hold a recompaction there deterministically.
+	afterMerge func()
 }
 
 // NewRegistry builds a registry; cfg is taken by value after default
@@ -225,6 +234,7 @@ func NewRegistry(cfg Config, in *instruments) *Registry {
 		entries: make(map[string]*mentry),
 		stopc:   make(chan struct{}),
 	}
+	g.idle.L = &g.mu
 	if every := g.cfg.RecompactInterval; every > 0 {
 		g.wg.Add(1)
 		go g.recompactTicker(every)

@@ -95,11 +95,31 @@ func (g *Registry) maybeRecompact(name string, e *mentry) {
 		g.mu.Unlock()
 		return
 	}
+	g.pinForRecompactLocked(e)
+	g.mu.Unlock()
+	go g.recompact(name, e)
+}
+
+// pinForRecompactLocked marks e as recompacting and pins it (refs, wg,
+// the in-flight count quiesce waits on) for a recompact goroutine.
+// Caller holds g.mu.
+func (g *Registry) pinForRecompactLocked(e *mentry) {
 	e.recompacting = true
 	e.refs++
 	g.wg.Add(1)
+	g.recompacts++
+}
+
+// quiesce blocks until no background recompaction is in flight: every
+// recompaction started before the call has swapped in its replacement
+// or been abandoned, and its metrics are recorded. Recompactions that
+// later updates or the interval ticker start are not waited for.
+func (g *Registry) quiesce() {
+	g.mu.Lock()
+	for g.recompacts > 0 {
+		g.idle.Wait()
+	}
 	g.mu.Unlock()
-	go g.recompact(name, e)
 }
 
 // recompactTicker periodically sweeps every mutable entry holding
@@ -133,9 +153,7 @@ func (g *Registry) recompactDirty() {
 			if e.ov == nil || e.dead || e.recompacting || e.ov.Pending() == 0 {
 				continue
 			}
-			e.recompacting = true
-			e.refs++
-			g.wg.Add(1)
+			g.pinForRecompactLocked(e)
 			work = append(work, pinned{name, e})
 		}
 	}
@@ -149,22 +167,24 @@ func (g *Registry) recompactDirty() {
 // the overlay into a fresh COO, re-tune it from scratch (selection may
 // pick a different format now that the structure changed), build a new
 // overlay-wrapped entry, seal the old overlay, replay what it drained,
-// and hot-swap the registry slot. Callers pinned e (refs, recompacting,
-// wg) before spawning.
+// and hot-swap the registry slot. Callers pinned e
+// (pinForRecompactLocked) before spawning.
 func (g *Registry) recompact(name string, e *mentry) {
 	defer g.wg.Done()
 	defer g.release(e)
 	start := time.Now()
-	ok := g.recompactEntry(name, e)
-	g.mu.Lock()
-	e.recompacting = false
-	g.mu.Unlock()
-	if ok {
+	if g.recompactEntry(name, e) {
 		g.in.ovRecompactions.Inc()
 		g.in.ovRecompactTime.Observe(time.Since(start).Seconds())
 	} else {
 		g.in.ovAbandoned.Inc()
 	}
+	g.mu.Lock()
+	e.recompacting = false
+	if g.recompacts--; g.recompacts == 0 {
+		g.idle.Broadcast()
+	}
+	g.mu.Unlock()
 }
 
 // recompactEntry does the work of recompact and reports whether the
@@ -177,9 +197,11 @@ func (g *Registry) recompact(name string, e *mentry) {
 //     its own pool and batcher; the old entry serves untouched.
 //  3. SealAndDrain flips the old overlay read-only — late updates get
 //     overlay.ErrSealed and Registry.Update retries onto the new entry —
-//     and returns a snapshot of every still-pending cell (the ones that
-//     arrived after step 1). The old overlay still serves the full
-//     effective matrix to in-flight multiplies.
+//     and returns every cell that may have changed since step 1: each
+//     still-pending cell, and each cell an update returned to base
+//     (such as a delete of an insert the merge captured). The old
+//     overlay still serves the full effective matrix to in-flight
+//     multiplies.
 //  4. The drained cells replay onto the new overlay. Cells the merge
 //     already captured are no-ops (the overlay normalizes to base);
 //     later ones become its first pending updates. Nothing is lost,
@@ -192,6 +214,9 @@ func (g *Registry) recompact(name string, e *mentry) {
 //     last reference drains.
 func (g *Registry) recompactEntry(name string, e *mentry) bool {
 	m := e.ov.MergedCOO()
+	if g.afterMerge != nil {
+		g.afterMerge()
+	}
 	info, inst, err := g.tune(name, m)
 	if err != nil {
 		return false

@@ -341,8 +341,10 @@ func vecEqual(a, b []float64) bool {
 // of row 0 (it moves mass between two cells of that row), so with
 // x = ones every consistent snapshot yields the same y[0]: a reader
 // observing anything else caught a half-applied batch or a torn swap.
-// The final effective matrix must equal the serial mirror, and
-// leakcheck proves no goroutine outlives Close.
+// The writers keep churning until at least three swaps have landed, so
+// reads and writes provably cross hot swaps. The final effective matrix
+// (read after quiesce) must equal the serial mirror, and leakcheck
+// proves no goroutine outlives Close.
 func TestChaosReadersAndWritersThroughRecompaction(t *testing.T) {
 	leakcheck.Check(t)
 	cfg := mutableConfig()
@@ -357,7 +359,8 @@ func TestChaosReadersAndWritersThroughRecompaction(t *testing.T) {
 		n       = 96
 		writers = 3
 		readers = 3
-		batches = 60
+		batches = 60 // minimum per writer
+		swaps   = 3  // minimum landed swaps before the writers stop
 	)
 	m := testmat.Random[float64](n, n, 0.1, 31)
 	if _, err := g.RegisterMatrix("m", m.Clone()); err != nil {
@@ -385,7 +388,12 @@ func TestChaosReadersAndWritersThroughRecompaction(t *testing.T) {
 			defer wgW.Done()
 			a, b := int32(2*w), int32(2*w+1)
 			va, vb := baseAt(m, 0, int(a)), baseAt(m, 0, int(b))
-			for k := 1; k <= batches; k++ {
+			for k := 1; k <= batches || g.in.ovRecompactions.Value() < swaps; k++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
 				d := float64(k) * 0.125
 				ups := []overlay.Update[float64]{
 					{Op: overlay.OpSet, Row: 0, Col: a, Val: va + d},
@@ -431,7 +439,8 @@ func TestChaosReadersAndWritersThroughRecompaction(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		close(stop)
 		wgR.Wait()
-		t.Fatal("chaos writers timed out")
+		t.Fatalf("chaos writers timed out with %d of %d swaps landed",
+			g.in.ovRecompactions.Value(), swaps)
 	}
 	close(stop)
 	wgR.Wait()
@@ -440,6 +449,9 @@ func TestChaosReadersAndWritersThroughRecompaction(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
+	// A recompaction the last updates triggered may still be in flight;
+	// the final reads must see the settled registry.
+	g.quiesce()
 
 	// Final state: base with each writer's last set applied.
 	d := m.ToDense()
@@ -467,6 +479,77 @@ func TestChaosReadersAndWritersThroughRecompaction(t *testing.T) {
 	}
 	if g.in.ovRecompactions.Value() == 0 {
 		t.Fatal("chaos run never recompacted; threshold too high for the churn")
+	}
+}
+
+// TestDeleteAfterMergeSurvivesSwap is the recompaction delete-loss
+// regression: an insert is captured by a recompaction's merge, then
+// deleted while the re-tune runs. The overlay drops the deleted cell as
+// back-to-base (the old base never had it), so unless the drain replays
+// it the swapped-in base resurrects the insert. A test hook holds the
+// recompaction between merge and re-tune, so the delete lands in that
+// window on every run, however fast selection is.
+func TestDeleteAfterMergeSurvivesSwap(t *testing.T) {
+	leakcheck.Check(t)
+	cfg := mutableConfig()
+	cfg.RecompactAfter = 2
+	g := NewRegistry(cfg, nil)
+	defer g.Close()
+	merged, release := make(chan struct{}), make(chan struct{})
+	var hold sync.Once
+	g.afterMerge = func() { hold.Do(func() { merged <- struct{}{}; <-release }) }
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce() // runs before Close, so a failing test cannot wedge it
+
+	const n = 40
+	m := testmat.Random[float64](n, n, 0.1, 5)
+	if _, err := g.RegisterMatrix("m", m.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	// The probe cell (0, col) is absent from the base; column 1 is read
+	// beside it, so col must differ from 1.
+	row, col := int32(0), int32(-1)
+	for j := n - 1; j >= 2 && col < 0; j-- {
+		if baseAt(m, 0, j) == 0 {
+			col = int32(j)
+		}
+	}
+	if col < 0 {
+		t.Fatal("row 0 has no absent probe cell")
+	}
+	ctx := context.Background()
+	update := func(u overlay.Update[float64]) {
+		t.Helper()
+		if _, err := g.Update(ctx, "m", []overlay.Update[float64]{u}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	update(overlay.Update[float64]{Op: overlay.OpSet, Row: row, Col: col, Val: 5})
+	other := baseAt(m, 1, 1) + 7
+	update(overlay.Update[float64]{Op: overlay.OpSet, Row: 1, Col: 1, Val: other}) // crosses the threshold
+	select {
+	case <-merged:
+	case <-time.After(10 * time.Second):
+		t.Fatal("threshold crossing started no recompaction")
+	}
+	update(overlay.Update[float64]{Op: overlay.OpDelete, Row: row, Col: col})
+	releaseOnce()
+	g.quiesce()
+	if got := g.in.ovRecompactions.Value(); got != 1 {
+		t.Fatalf("%d recompactions landed, want 1", got)
+	}
+
+	x := make([]float64, n)
+	x[col], x[1] = 1, 1
+	y, err := g.MulVec(ctx, "m", x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := baseAt(m, 0, 1); y[row] != want {
+		t.Errorf("y[%d] = %g after deleting (%d,%d), want %g: the delete was lost in the swap", row, y[row], row, col, want)
+	}
+	if want := baseAt(m, 1, int(col)) + other; y[1] != want {
+		t.Errorf("y[1] = %g, want %g: the update before the merge was lost", y[1], want)
 	}
 }
 

@@ -17,6 +17,7 @@ package ubcsr
 
 import (
 	"fmt"
+	"slices"
 
 	"blockspmv/internal/blocks"
 	"blockspmv/internal/floats"
@@ -98,7 +99,8 @@ func (a *Matrix[T]) build(entries []mat.Entry[T]) {
 		for i := start; i < end; i++ {
 			cols = append(cols, entries[i].Col)
 		}
-		sortUnique(&cols)
+		slices.Sort(cols)
+		cols = slices.Compact(cols)
 		anchors := anchorsFor(cols, c)
 
 		// Interior anchors first (greedy packing keeps them sorted, so an
@@ -361,37 +363,6 @@ func (a *Matrix[T]) MulRangeMulti(x, y []T, k, r0, r1 int) {
 }
 
 var _ formats.Instance[float64] = (*Matrix[float64])(nil)
-
-func sortUnique(a *[]int32) {
-	s := *a
-	if len(s) < 2 {
-		return
-	}
-	// Entries within a block row arrive row-major: each row's columns are
-	// sorted but the concatenation is not. Simple insertion sort is fine
-	// for the nearly-sorted short lists; fall back to a merge for longer
-	// ones via the standard library.
-	if len(s) > 64 {
-		sortInt32Std(s)
-	} else {
-		for i := 1; i < len(s); i++ {
-			v := s[i]
-			j := i - 1
-			for j >= 0 && s[j] > v {
-				s[j+1] = s[j]
-				j--
-			}
-			s[j+1] = v
-		}
-	}
-	out := s[:1]
-	for _, v := range s[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	*a = out
-}
 
 // WithImpl implements formats.Instance: a view over the same arrays with
 // a different kernel implementation class.

@@ -18,7 +18,7 @@ package vbr
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"blockspmv/internal/blocks"
 	"blockspmv/internal/floats"
@@ -125,7 +125,7 @@ func fromPartition[T floats.Float](m *mat.COO[T], pt partition.VBRPartition, imp
 				bcols = append(bcols, bj)
 			}
 		}
-		sort.Slice(bcols, func(i, j int) bool { return bcols[i] < bcols[j] })
+		slices.Sort(bcols)
 
 		blockBase := len(a.bcolInd)
 		a.bcolInd = append(a.bcolInd, bcols...)
@@ -140,7 +140,7 @@ func fromPartition[T floats.Float](m *mat.COO[T], pt partition.VBRPartition, imp
 		for i := lo; i < hi; i++ {
 			e := entries[i]
 			bj := colBlock[e.Col]
-			k, ok := searchInt32(bcols, bj)
+			k, ok := slices.BinarySearch(bcols, bj)
 			if !ok {
 				panic(fmt.Sprintf("vbr: block (%d,%d) missing from block-column union", bi, bj))
 			}
@@ -309,22 +309,6 @@ func (a *Matrix[T]) MulRangeMulti(x, y []T, k, r0, r1 int) {
 }
 
 var _ formats.Instance[float64] = (*Matrix[float64])(nil)
-
-func searchInt32(s []int32, v int32) (int, bool) {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s) && s[lo] == v {
-		return lo, true
-	}
-	return 0, false
-}
 
 // WithImpl implements formats.Instance. VBR has a single kernel; the
 // class only affects the instance name.
