@@ -1,8 +1,9 @@
 # Developer entry points. `make check` is the tier-1 verify referenced
 # from ROADMAP.md; `make race` exercises the concurrent packages (the
-# worker-pool executor, the vector kernels, the solvers built on them and
-# the fault-injection harness) under the race detector at 1, 2 and 4 cores,
-# so timing assumptions that hold only at some core counts fail; `make fuzz`
+# worker-pool executor, the vector kernels, the solvers built on them,
+# the shared gather-window batcher and the fault-injection harness) under
+# the race detector at 1, 2 and 4 cores, so timing assumptions that hold
+# only at some core counts fail; `make fuzz`
 # runs a short smoke pass of every fuzz target over the untrusted-input
 # parsers and the exact block counter;
 # `make gencheck` regenerates the block kernels into a temp dir and fails
@@ -13,7 +14,7 @@ GO ?= go
 RACE_PKGS = ./internal/workpool ./internal/parallel ./internal/vecops ./internal/solver \
     ./internal/conformance ./internal/csrdu ./internal/faultcheck \
     ./internal/server ./internal/metrics ./internal/sell ./internal/shard \
-    ./internal/overlay
+    ./internal/overlay ./internal/batch
 
 FUZZTIME ?= 5s
 
@@ -53,7 +54,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) ./internal/profile
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeVector$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzWireRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzShardFrame$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzShardPanelFrame$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzUpdateFrame$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzVBRPartition$$' -fuzztime $(FUZZTIME) ./internal/partition

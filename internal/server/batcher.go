@@ -2,134 +2,80 @@ package server
 
 import (
 	"context"
-	"sync"
 	"time"
 
+	"blockspmv/internal/batch"
 	"blockspmv/internal/formats"
 	"blockspmv/internal/parallel"
 )
 
-// request is one admitted MulVec, MulVecs or update request travelling
-// through a batcher: a single x/y vector pair, a k-wide panel in xs/ys
-// (xs non-nil marks the panel form), or a mutation closure in apply.
-// Updates ride the same queue as multiplies so the loop goroutine — the
-// single owner of the pool — serializes them against whole panels: a
-// multiply never observes a half-applied batch, and every multiply
-// queued after an update sees it.
+// request is one admitted multiply or update travelling through a
+// matrix's batcher: a k-wide panel in xs/ys (a single-vector MulVec is a
+// panel of one), or a mutation closure in apply. Updates ride the same
+// queue as multiplies so the loop goroutine — the single owner of the
+// pool — serializes them against whole panels: a multiply never
+// observes a half-applied batch, and every multiply queued after an
+// update sees it.
 type request struct {
-	ctx   context.Context
-	x     []float64
-	y     []float64 // result, written by the batch loop before done is signalled
-	xs    [][]float64
-	ys    [][]float64
-	apply func() error // overlay mutation, run on the loop between panels
-	enq   time.Time
-	// done carries the request's outcome. Buffered so the batch loop
-	// never blocks on a caller that gave up (cancellation mid-batch).
-	done chan error
+	xs, ys [][]float64 // ys written by the dispatch before the reply
+	apply  func() error
+	enq    time.Time
 }
 
-// width is the number of right-hand sides the request contributes to a
-// panel; updates contribute none.
-func (r *request) width() int {
-	if r.apply != nil {
-		return 0
-	}
-	if r.xs != nil {
-		return len(r.xs)
-	}
-	return 1
-}
-
-// batcher coalesces concurrent single-vector MulVec requests against one
-// matrix into k-wide panels and dispatches them through the pooled
-// MulVecs path, so the matrix stream — the resource SpMV saturates — is
-// paid once per panel instead of once per request.
+// batcher is one matrix's adapter over the shared gather-window batcher
+// (internal/batch): concurrent requests are coalesced into k-wide panels
+// dispatched through the pooled MulVecs path, so the matrix stream — the
+// resource SpMV saturates — is paid once per panel instead of once per
+// request. The batch loop is the single caller of the parallel.Mul pool,
+// as its MulVec/MulVecs contract requires. A panel's width is the number
+// of right-hand sides it carries; an update closes the gathering panel
+// and runs after the multiplies gathered before it.
 //
-// Requests enter through a bounded channel (the admission queue); a full
-// queue sheds with ErrOverloaded instead of building an unbounded
-// backlog. A single loop goroutine owns the parallel.Mul pool (whose
-// MulVec/MulVecs contract is single-caller): it takes the first waiting
-// request, then gathers more for at most window — or until max are in
-// hand — and dispatches the batch as one panel. Under low load the
-// window expires with one request in hand and the loop falls back to the
-// plain single-vector MulVec, paying no panel pack/unpack.
-//
-// close drains rather than aborts: the in-flight batch completes and
-// replies normally, every request still queued is shed with
-// ErrOverloaded, then the pool is retired. A request whose context is
-// canceled while queued is dropped at dispatch time (its submit already
-// returned ctx.Err()); the shared panel is never poisoned by
-// cancellation — only a kernel panic poisons the pool, and that reaches
-// every requester of this matrix as a typed error without affecting
-// other matrices, which own their own pools.
+// A full queue, and every request still queued when the batcher closes,
+// is shed with ErrOverloaded. Only a kernel panic poisons the pool, and
+// that reaches every requester of this matrix as a typed error without
+// affecting other matrices, which own their own pools.
 type batcher struct {
-	pool   *parallel.Mul[float64]
-	rows   int
-	max    int           // panel width cap; 1 disables coalescing
-	window time.Duration // how long to hold the first request while gathering
+	q    *batch.Batcher[request]
+	pool *parallel.Mul[float64]
+	rows int
+	in   *instruments
 
-	ch   chan *request
-	stop chan struct{}
-	done chan struct{} // loop exited
-
-	mu     sync.RWMutex // guards closed against in-flight submits
-	closed bool
-
-	in *instruments
-
-	// batch scratch, reused by the loop goroutine only.
-	batch []*request
-	xs    [][]float64
-	ys    [][]float64
+	// panel scratch, reused by the batch loop only.
+	xs, ys [][]float64
 }
 
 // newBatcher starts the batch loop over a freshly built pool. depth is
 // the admission-queue bound, max the panel-width cap, window the
 // gathering timeout; all are already defaulted by the caller.
 func newBatcher(pool *parallel.Mul[float64], max int, window time.Duration, depth int, in *instruments) *batcher {
-	b := &batcher{
-		pool:   pool,
-		rows:   pool.Instance().Rows(),
-		max:    max,
-		window: window,
-		ch:     make(chan *request, depth),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-		in:     in,
-	}
-	go b.loop()
+	b := &batcher{pool: pool, rows: pool.Instance().Rows(), in: in}
+	b.q = batch.New(batch.Config[request]{
+		Max: max, Window: window, Depth: depth,
+		Full: ErrOverloaded, Closed: ErrOverloaded,
+		Queued:   in.queueDepth,
+		Width:    func(r request) int { return len(r.xs) },
+		Closes:   func(r request) bool { return r.apply != nil },
+		Dispatch: b.dispatch,
+	})
 	return b
 }
 
-// submit admits one request and blocks until it is answered or ctx is
-// done. The returned vector is freshly allocated per request (responses
-// race with subsequent batches otherwise). Shedding — queue full or
-// batcher draining — fails fast with ErrOverloaded.
-func (b *batcher) submit(ctx context.Context, x []float64) ([]float64, error) {
-	r := &request{ctx: ctx, x: x, y: make([]float64, b.rows)}
-	if err := b.admit(ctx, r); err != nil {
-		return nil, err
-	}
-	return r.y, nil
-}
-
-// submitPanel is the multi-RHS form of submit: one admitted request
-// carrying a whole k-wide panel, so a coordinator-coalesced batch enters
-// the queue — and the kernel — as a unit. A panel wider than the
-// configured cap is still served in one dispatch (it is one request; the
-// cap bounds coalescing of additional requests, not callers' panels).
-func (b *batcher) submitPanel(ctx context.Context, xs [][]float64) ([][]float64, error) {
+// submit admits one k-wide panel and blocks until it is answered or ctx
+// is done. The result vectors are freshly allocated per request
+// (responses race with subsequent batches otherwise). A panel wider than
+// the configured cap is still served in one dispatch: the cap bounds
+// coalescing of additional requests, not callers' panels.
+func (b *batcher) submit(ctx context.Context, xs [][]float64) ([][]float64, error) {
 	ys := make([][]float64, len(xs))
 	flat := make([]float64, len(xs)*b.rows)
 	for l := range ys {
 		ys[l] = flat[l*b.rows : (l+1)*b.rows]
 	}
-	r := &request{ctx: ctx, xs: xs, ys: ys}
-	if err := b.admit(ctx, r); err != nil {
+	if err := b.admit(ctx, request{xs: xs, ys: ys}); err != nil {
 		return nil, err
 	}
-	return r.ys, nil
+	return ys, nil
 }
 
 // submitUpdate admits a mutation closure and blocks until the loop has
@@ -137,160 +83,47 @@ func (b *batcher) submitPanel(ctx context.Context, xs [][]float64) ([][]float64,
 // after the panel it was gathered behind, so its effects order cleanly
 // between whole multiplies.
 func (b *batcher) submitUpdate(ctx context.Context, apply func() error) error {
-	r := &request{ctx: ctx, apply: apply}
-	return b.admit(ctx, r)
+	return b.admit(ctx, request{apply: apply})
 }
 
-// admit enqueues r and blocks until it is answered or ctx is done.
-func (b *batcher) admit(ctx context.Context, r *request) error {
+// admit runs r through the shared batcher and classifies the outcome for
+// the counters. Shed and abandoned requests got no reply, so only
+// answered ones are timed.
+func (b *batcher) admit(ctx context.Context, r request) error {
 	b.in.reqTotal.Inc()
 	r.enq = time.Now()
-	r.done = make(chan error, 1)
-	b.mu.RLock()
-	if b.closed {
-		b.mu.RUnlock()
-		b.in.reqShed.Inc()
-		return ErrOverloaded
-	}
-	select {
-	case b.ch <- r:
-		b.mu.RUnlock()
-		b.in.queueDepth.Add(1)
-	default:
-		b.mu.RUnlock()
-		b.in.reqShed.Inc()
-		return ErrOverloaded
-	}
-	select {
-	case err := <-r.done:
-		b.observeReply(r, err)
-		return err
-	case <-ctx.Done():
-		b.in.reqCanceled.Inc()
-		return ctx.Err()
-	}
-}
-
-// observeReply classifies a loop-delivered outcome for the counters.
-func (b *batcher) observeReply(r *request, err error) {
-	b.in.reqTime.Observe(time.Since(r.enq).Seconds())
+	err := b.q.Submit(ctx, r)
 	switch {
-	case err == nil:
-		b.in.reqOK.Inc()
 	case err == ErrOverloaded:
 		b.in.reqShed.Inc()
+		return err
 	case err == context.Canceled || err == context.DeadlineExceeded:
 		b.in.reqCanceled.Inc()
+		return err
+	case err == nil:
+		b.in.reqOK.Inc()
 	default:
 		b.in.reqPanic.Inc()
 	}
+	b.in.reqTime.Observe(time.Since(r.enq).Seconds())
+	return err
 }
 
-// loop is the single goroutine that owns the pool: gather, dispatch,
-// reply, forever — until stop, when it sheds the remaining queue.
-func (b *batcher) loop() {
-	defer close(b.done)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		// Prefer the stop signal over more work: once draining begins the
-		// queue is shed, not served (select alone would pick at random).
-		select {
-		case <-b.stop:
-			b.shedQueued()
-			return
-		default:
-		}
-		select {
-		case <-b.stop:
-			b.shedQueued()
-			return
-		case r := <-b.ch:
-			b.in.queueDepth.Add(-1)
-			b.gather(r, timer)
-			b.execute()
-		}
-	}
-}
-
-// gather fills b.batch with the first request plus whatever else arrives
-// within the window, until the summed panel width reaches max. A stop
-// signal ends gathering early but the gathered batch still executes
-// (those requests are in flight, and the drain contract completes
-// in-flight work).
-func (b *batcher) gather(first *request, timer *time.Timer) {
-	b.batch = append(b.batch[:0], first)
-	w := first.width()
-	// An update closes the batch immediately: requests behind it must
-	// observe its effect, so they wait for the next dispatch.
-	if first.apply != nil || b.max <= 1 || b.window <= 0 || w >= b.max {
-		return
-	}
-	timer.Reset(b.window)
-	defer func() {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-	}()
-	for w < b.max {
-		select {
-		case r := <-b.ch:
-			b.in.queueDepth.Add(-1)
-			b.batch = append(b.batch, r)
-			if r.apply != nil {
-				return // see above: the update ends this batch
-			}
-			w += r.width()
-		case <-timer.C:
-			return
-		case <-b.stop:
-			return
-		}
-	}
-}
-
-// execute dispatches the gathered batch: canceled requests are dropped
-// (their submit already returned), one live request goes through the
-// single-vector path, several go through one MulVecs panel, and a
-// trailing update (gather closes the batch on one) runs after the panel
-// so the multiplies gathered before it still see the pre-update matrix.
-// Every live request receives its own outcome — nil, the typed pool
-// error, or the update's error.
-func (b *batcher) execute() {
+// dispatch runs one gathered panel: one live multiply goes through the
+// single-vector path, several through one MulVecs panel, and a closing
+// update runs after the panel, so the multiplies gathered before it
+// still see the pre-update matrix.
+func (b *batcher) dispatch(_ context.Context, rs []request, errs []error) {
 	now := time.Now()
-	live := b.batch[:0]
-	var update *request
-	for _, r := range b.batch {
-		if r.ctx.Err() != nil {
-			r.done <- r.ctx.Err() // nobody may be listening; buffered
-			continue
-		}
+	b.xs, b.ys = b.xs[:0], b.ys[:0]
+	for _, r := range rs {
 		b.in.queueWait.Observe(now.Sub(r.enq).Seconds())
-		if r.apply != nil {
-			update = r // at most one: gather stops at the first
-			continue
-		}
-		live = append(live, r)
+		b.xs = append(b.xs, r.xs...)
+		b.ys = append(b.ys, r.ys...)
 	}
-	b.batch = live
-	if len(live) > 0 {
-		b.xs, b.ys = b.xs[:0], b.ys[:0]
-		for _, r := range live {
-			if r.xs != nil {
-				b.xs = append(b.xs, r.xs...)
-				b.ys = append(b.ys, r.ys...)
-			} else {
-				b.xs = append(b.xs, r.x)
-				b.ys = append(b.ys, r.y)
-			}
-		}
+	var err error
+	if len(b.xs) > 0 {
 		b.in.batchSize.Observe(float64(len(b.xs)))
-		var err error
 		start := time.Now()
 		if len(b.xs) == 1 {
 			err = b.pool.MulVec(b.xs[0], b.ys[0])
@@ -298,26 +131,11 @@ func (b *batcher) execute() {
 			err = b.pool.MulVecs(b.xs, b.ys)
 		}
 		b.in.execTime.Observe(time.Since(start).Seconds())
-		for _, r := range live {
-			r.done <- err
-		}
 	}
-	if update != nil {
-		update.done <- update.apply()
-	}
-}
-
-// shedQueued replies ErrOverloaded to everything still in the queue.
-// It runs after the close flag is set under the write lock, so no new
-// submit can enqueue afterwards and draining to empty is final.
-func (b *batcher) shedQueued() {
-	for {
-		select {
-		case r := <-b.ch:
-			b.in.queueDepth.Add(-1)
-			r.done <- ErrOverloaded
-		default:
-			return
+	for i, r := range rs {
+		errs[i] = err
+		if r.apply != nil {
+			errs[i] = r.apply()
 		}
 	}
 }
@@ -326,14 +144,7 @@ func (b *batcher) shedQueued() {
 // the loop finishes its in-flight batch, sheds the queue and exits, and
 // the pool workers are closed. Idempotent.
 func (b *batcher) close() {
-	b.mu.Lock()
-	already := b.closed
-	b.closed = true
-	b.mu.Unlock()
-	if !already {
-		close(b.stop)
-	}
-	<-b.done
+	b.q.Close()
 	b.pool.Close()
 }
 

@@ -8,16 +8,18 @@ import (
 	"math"
 )
 
-// The panel frames are the multi-RHS extension of the shard wire: where
-// SpS1/SpP1 move one vector per call, SpS2/SpP2 move a k-wide panel, so
-// a coordinator that has coalesced k concurrent callers pays one frame
-// per shard per panel — and the worker pays its matrix stream once per
-// panel — instead of once per call. Both frames keep the SpS1/SpP1
-// discipline: the global row range travels with the data, a CRC-32C of
-// the element bytes turns mid-stream corruption into a typed error, and
-// decoding is strict (wrong magic, unknown kind, reserved bytes, k = 0,
-// counts above the caller's caps, truncation, trailing garbage and
-// checksum mismatches all fail without panicking and without allocating
+// The shard wire extends the SpV1 vector codec with the two frames of
+// the row-sharded data plane. A coordinator that has coalesced k
+// concurrent callers pays one frame per shard per panel — and the worker
+// pays its matrix stream once per panel — instead of once per call; a
+// single call is a panel of one. Both frames carry the global row range,
+// so a response can never be attributed to the wrong rows, and a CRC-32C
+// of the element bytes, so a frame corrupted in flight — the chaos
+// harness flips bytes mid-stream — is detected and retried instead of
+// silently contributing wrong values to the gathered result. Decoding
+// is strict (wrong magic, unknown kind, reserved bytes, k = 0, counts
+// above the caller's caps, truncation, trailing garbage and checksum
+// mismatches all fail without panicking and without allocating
 // proportionally to forged counts).
 //
 // Panel request (coordinator -> shard worker), magic "SpS2":
@@ -46,10 +48,8 @@ import (
 //	24      8*(row1-row0)*k  y panel, row-major: element i*k+l is y_l[i]
 //
 // The element bytes are row-major — the layout MulRangeMulti consumes —
-// so the panel a worker computes is the panel the wire carries. At
-// k = 1 the element bytes of both frames are byte-identical to their
-// SpS1/SpP1 counterparts (one vector in order); the coordinator
-// actually sends SpS1 then, so a panel-unaware fleet interoperates.
+// so the panel a worker computes is the panel the wire carries; at
+// k = 1 they are the one vector in order.
 
 var (
 	panelReqMagic  = [4]byte{'S', 'p', 'S', '2'}
@@ -65,10 +65,38 @@ const (
 	ContentTypePanelPartial = "application/x-spmv-panel-partial"
 )
 
+// Typed shard-wire errors, joining the SpV1 set.
+var (
+	// ErrWireRange marks a frame whose row range is inverted, does not fit
+	// 32 bits, or does not match the range the receiver expected.
+	ErrWireRange = errors.New("server: wire: bad shard row range")
+	// ErrWireChecksum marks a frame whose element bytes fail the CRC-32C —
+	// the signature of mid-stream corruption.
+	ErrWireChecksum = errors.New("server: wire: element checksum mismatch")
+)
+
 // ErrWirePanel marks a panel frame whose width field is unusable: zero
 // (a panel that carries nothing may not claim rows), above the
 // receiver's cap, or not matching the vector set being encoded.
 var ErrWirePanel = errors.New("server: wire: bad panel width")
+
+// castagnoli is the CRC-32C table shared by both shard frames.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checkWireRange guards the encoder side of both shard frames: rows must
+// be ordered and fit the 32-bit range fields.
+func checkWireRange(row0, row1 int) error {
+	if row0 < 0 || row1 < row0 || uint64(row1) > maxWireCount {
+		return fmt.Errorf("%w: [%d, %d)", ErrWireRange, row0, row1)
+	}
+	return nil
+}
+
+// isShardWireErr widens the SpV1 helper isWireErr to the shard frames.
+func isShardWireErr(err error) bool {
+	return isWireErr(err) || errors.Is(err, ErrWireRange) ||
+		errors.Is(err, ErrWireChecksum) || errors.Is(err, ErrWirePanel)
+}
 
 // checkPanelVecs guards the encoder side of both panel frames: at least
 // one vector, every vector the same length, counts within the 32-bit

@@ -62,11 +62,11 @@ type Config struct {
 	// registry (reachable via Server.Metrics).
 	Metrics *metrics.Registry
 
-	// EnableShard exposes the row-shard endpoints (PUT /v1/shard/{name},
-	// POST /v1/shard/{name}/mulvec and /mulvecs), turning this node into a
-	// shard worker a coordinator can scatter to. Off by default: a
-	// standalone daemon has no business accepting partial-matrix
-	// registrations.
+	// EnableShard exposes the row-shard endpoints (PUT /v1/shard/{name}
+	// and POST /v1/shard/{name}/mulvecs, which speaks the SpS2/SpP2 panel
+	// frames), turning this node into a shard worker a coordinator can
+	// scatter to. Off by default: a standalone daemon has no business
+	// accepting partial-matrix registrations.
 	EnableShard bool
 	// MaxPanelK caps the panel width a shard panel frame may declare;
 	// <= 0 selects 1024. It bounds the worker's per-request allocation
@@ -554,7 +554,11 @@ func (g *Registry) MulVec(ctx context.Context, name string, x []float64) ([]floa
 			LenX: len(x), LenY: e.info.Rows,
 		}
 	}
-	return e.bat.submit(ctx, x)
+	ys, err := e.bat.submit(ctx, [][]float64{x})
+	if err != nil {
+		return nil, err
+	}
+	return ys[0], nil
 }
 
 // MulVecs runs a k-wide panel against the named matrix as one batcher
@@ -580,7 +584,7 @@ func (g *Registry) MulVecs(ctx context.Context, name string, xs [][]float64) ([]
 			}
 		}
 	}
-	return e.bat.submitPanel(ctx, xs)
+	return e.bat.submit(ctx, xs)
 }
 
 // Close drains every batcher — in-flight batches complete, queued

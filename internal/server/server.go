@@ -11,9 +11,11 @@
 //     core.SelectSafe into a cached best-format instance with a
 //     persistent worker pool; LRU eviction under a size cap, ref-counted
 //     so teardown never races in-flight requests.
-//   - batcher: per-matrix dynamic coalescing of single-vector requests
-//     into MulVecs panels (time/size windowed), bounded-queue admission
-//     control with typed ErrOverloaded shedding, graceful drain.
+//   - batcher: per-matrix adapter over the shared gather-window batcher
+//     (internal/batch) — requests, each a panel of one or more vectors,
+//     coalesce into MulVecs panels (time/width windowed); admission is
+//     its bounded queue, with typed ErrOverloaded shedding and graceful
+//     drain; updates close the gathering panel and run after it.
 //   - Server: the HTTP face — matrix CRUD, a MulVec endpoint speaking
 //     JSON or the compact binary vector codec, Prometheus metrics at
 //     /metrics, expvar at /debug/vars, health at /healthz.
@@ -70,7 +72,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/matrix/{name}/update", s.handleUpdate)
 	if cfg.EnableShard {
 		s.mux.HandleFunc("PUT /v1/shard/{name}", s.handleShardRegister)
-		s.mux.HandleFunc("POST /v1/shard/{name}/mulvec", s.handleShardMulVec)
 		s.mux.HandleFunc("POST /v1/shard/{name}/mulvecs", s.handleShardMulVecs)
 	}
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"net/http"
 	"testing"
@@ -25,9 +26,9 @@ func sliceRows(m *mat.COO[float64], row0, row1 int) *mat.COO[float64] {
 }
 
 // TestShardEndpoints walks the worker face of the sharded data plane:
-// register a row block over HTTP, multiply through the SpS1/SpP1 frames,
-// and confirm the partial equals the matching slice of the single-node
-// reference bit for bit.
+// register a row block over HTTP, multiply one vector through k=1
+// SpS2/SpP2 frames, and confirm the partial equals the matching slice of
+// the single-node reference bit for bit.
 func TestShardEndpoints(t *testing.T) {
 	leakcheck.Check(t)
 	_, base, client, stop := startServer(t, Config{Workers: 2, EnableShard: true})
@@ -49,24 +50,24 @@ func TestShardEndpoints(t *testing.T) {
 	}
 
 	x := testVec(40)
-	frame := mustEncodeShardReq(t, row0, row1, x)
-	resp, err := client.Post(base+"/v1/shard/demo/mulvec", ContentTypeShardRequest, bytes.NewReader(frame))
+	frame := mustEncodePanelReq(t, row0, row1, [][]float64{x})
+	resp, err := client.Post(base+"/v1/shard/demo/mulvecs", ContentTypePanelRequest, bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := readAll(t, resp)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("shard mulvec: %d %s", resp.StatusCode, data)
+		t.Fatalf("shard mulvecs: %d %s", resp.StatusCode, data)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != ContentTypePartial {
+	if ct := resp.Header.Get("Content-Type"); ct != ContentTypePanelPartial {
 		t.Fatalf("Content-Type = %q", ct)
 	}
-	r0, r1, y, err := DecodePartialInto(nil, data, row1-row0)
+	r0, r1, k, y, err := DecodePartialPanelInto(nil, data, row1-row0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r0 != row0 || r1 != row1 {
-		t.Fatalf("partial range [%d, %d)", r0, r1)
+	if r0 != row0 || r1 != row1 || k != 1 {
+		t.Fatalf("partial range [%d, %d) k=%d", r0, r1, k)
 	}
 	want := refMul(sub, x)
 	for i := range want {
@@ -106,7 +107,7 @@ func TestShardEndpointErrors(t *testing.T) {
 	x := testVec(20)
 	post := func(frame []byte) (int, []byte) {
 		t.Helper()
-		resp, err := client.Post(base+"/v1/shard/ok/mulvec", ContentTypeShardRequest, bytes.NewReader(frame))
+		resp, err := client.Post(base+"/v1/shard/ok/mulvecs", ContentTypePanelRequest, bytes.NewReader(frame))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,17 +115,17 @@ func TestShardEndpointErrors(t *testing.T) {
 	}
 
 	// A frame claiming a different row range than the resident shard.
-	if status, body := post(mustEncodeShardReq(t, 0, 20, x)); status != http.StatusBadRequest {
+	if status, body := post(mustEncodePanelReq(t, 0, 20, [][]float64{x})); status != http.StatusBadRequest {
 		t.Fatalf("range mismatch: %d %s", status, body)
 	}
 	// A frame with one corrupted element byte: checksum rejection.
-	frame := mustEncodeShardReq(t, 10, 30, x)
-	frame[shardReqHeaderLen+3] ^= 0x10
+	frame := mustEncodePanelReq(t, 10, 30, [][]float64{x})
+	frame[panelReqHeaderLen+3] ^= 0x10
 	if status, body := post(frame); status != http.StatusBadRequest {
 		t.Fatalf("corrupted frame: %d %s", status, body)
 	}
 	// And a valid frame still succeeds after the rejections.
-	if status, body := post(mustEncodeShardReq(t, 10, 30, x)); status != http.StatusOK {
+	if status, body := post(mustEncodePanelReq(t, 10, 30, [][]float64{x})); status != http.StatusOK {
 		t.Fatalf("valid frame: %d %s", status, body)
 	}
 
@@ -199,7 +200,7 @@ func TestShardPanelEndpoint(t *testing.T) {
 // a k=0 frame forged onto the wire.
 func TestShardPanelEndpointErrors(t *testing.T) {
 	leakcheck.Check(t)
-	_, base, client, stop := startServer(t, Config{EnableShard: true, MaxPanelK: 4})
+	srv, base, client, stop := startServer(t, Config{EnableShard: true, MaxPanelK: 4})
 	defer stop()
 
 	m := testmat.Random[float64](30, 20, 0.2, 8)
@@ -242,7 +243,7 @@ func TestShardPanelEndpointErrors(t *testing.T) {
 		t.Fatalf("forged k=0 panel: %d %s", status, body)
 	}
 	// A valid panel still succeeds after the rejections, and a k=1 panel
-	// matches the single-vector endpoint bit for bit.
+	// matches the registry's single-vector MulVec bit for bit.
 	status, body := post(mustEncodePanelReq(t, 10, 30, [][]float64{x}))
 	if status != http.StatusOK {
 		t.Fatalf("valid panel: %d %s", status, body)
@@ -251,18 +252,9 @@ func TestShardPanelEndpointErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := client.Post(base+"/v1/shard/ok/mulvec", ContentTypeShardRequest,
-		bytes.NewReader(mustEncodeShardReq(t, 10, 30, x)))
+	y, err := srv.Registry().MulVec(context.Background(), "ok", x)
 	if err != nil {
-		t.Fatal(err)
-	}
-	single := readAll(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("single mulvec: %d %s", resp.StatusCode, single)
-	}
-	_, _, y, err := DecodePartialInto(nil, single, 20)
-	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("single mulvec: %v", err)
 	}
 	for i := range y {
 		if math.Float64bits(flat[i]) != math.Float64bits(y[i]) {

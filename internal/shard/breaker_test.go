@@ -170,13 +170,13 @@ func TestOversizedReplyRejected(t *testing.T) {
 	leakcheck.Check(t)
 	var served atomic.Int64
 	rows := 20
-	limit := server.PartialFrameLen(rows)
+	limit := server.PartialPanelLen(rows, 1)
 	if limit < 4096 {
 		limit = 4096 // the coordinator's floor for error JSON bodies
 	}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		served.Add(1)
-		w.Header().Set("Content-Type", server.ContentTypePartial)
+		w.Header().Set("Content-Type", server.ContentTypePanelPartial)
 		w.Write(make([]byte, limit+64))
 	}))
 	defer ts.Close()

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"blockspmv/internal/batch"
 	"blockspmv/internal/formats"
 	"blockspmv/internal/mat"
 	"blockspmv/internal/metrics"
@@ -67,7 +68,7 @@ type Options struct {
 	// concurrent MulVec callers are coalesced into panels of up to this
 	// many right-hand sides before scattering, so each shard receives one
 	// SpS2 frame per panel — and streams its row block once per panel —
-	// instead of one SpS1 frame per call. <= 1 disables batching (the
+	// instead of one frame per call. <= 1 disables batching (the
 	// default): every call scatters immediately.
 	BatchMax int
 	// BatchWindow is how long the batcher holds a panel's first caller
@@ -162,7 +163,10 @@ type Coordinator struct {
 	client     *http.Client
 	tr         *http.Transport
 	in         *instruments
-	bat        *batcher // nil when BatchMax <= 1
+	bat        *batch.Batcher[caller] // nil when BatchMax <= 1
+
+	// panel scratch, reused by the batch loop only.
+	pxs, pys [][]float64
 
 	mu     sync.Mutex
 	closed bool
@@ -205,7 +209,11 @@ func New(cols int, specs []Spec, opts Options) (*Coordinator, error) {
 	}
 	c.client = &http.Client{Transport: c.tr}
 	if opts.BatchMax > 1 {
-		c.bat = newBatcher(c, opts.BatchMax, opts.BatchWindow, opts.QueueDepth)
+		c.bat = batch.New(batch.Config[caller]{
+			Max: opts.BatchMax, Window: opts.BatchWindow, Depth: opts.QueueDepth,
+			Full: server.ErrOverloaded, Closed: ErrClosed,
+			Dispatch: c.scatterPanel,
+		})
 	}
 	return c, nil
 }
@@ -230,34 +238,11 @@ func (c *Coordinator) Metrics() *metrics.Registry { return c.in.reg }
 // sharing a single set of wire frames. The result contract is unchanged
 // — coalescing affects which frame carried the rows, never their values.
 func (c *Coordinator) MulVec(ctx context.Context, x []float64) ([]float64, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	c.wg.Add(1)
-	c.mu.Unlock()
-	defer c.wg.Done()
-
-	c.in.calls.Inc()
-	if len(x) != c.cols {
-		c.in.failed.Inc()
-		return nil, &formats.DimError{Format: "sharded", Rows: c.rows, Cols: c.cols, LenX: len(x), LenY: c.rows}
-	}
-	var y []float64
-	var err error
-	if c.bat != nil {
-		y, err = c.bat.submit(ctx, x)
-	} else {
-		y = make([]float64, c.rows)
-		err = c.scatter(ctx, [][]float64{x}, [][]float64{y})
-	}
+	ys, err := c.call(ctx, [][]float64{x}, c.bat != nil)
 	if err != nil {
-		c.in.failed.Inc()
 		return nil, err
 	}
-	c.in.ok.Inc()
-	return y, nil
+	return ys[0], nil
 }
 
 // MulVecs scatters a caller-provided k-wide panel: every shard receives
@@ -267,6 +252,13 @@ func (c *Coordinator) MulVec(ctx context.Context, x []float64) ([]float64, error
 // or a typed error and no vectors at all. The panel bypasses the
 // gather-window batcher: the caller has already done the coalescing.
 func (c *Coordinator) MulVecs(ctx context.Context, xs [][]float64) ([][]float64, error) {
+	return c.call(ctx, xs, false)
+}
+
+// call is the one path of MulVec and MulVecs: admit the call against
+// Close, validate the panel's shape, then scatter it directly or, when
+// batched, as one member of a gathered panel.
+func (c *Coordinator) call(ctx context.Context, xs [][]float64, batched bool) ([][]float64, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -277,27 +269,64 @@ func (c *Coordinator) MulVecs(ctx context.Context, xs [][]float64) ([][]float64,
 	defer c.wg.Done()
 
 	c.in.calls.Inc()
-	if len(xs) == 0 {
+	if err := c.checkPanel(xs); err != nil {
 		c.in.failed.Inc()
-		return nil, &formats.PanelError{Format: "sharded", NX: 0, NY: 0}
-	}
-	for _, x := range xs {
-		if len(x) != c.cols {
-			c.in.failed.Inc()
-			return nil, &formats.DimError{Format: "sharded", Rows: c.rows, Cols: c.cols, LenX: len(x), LenY: c.rows}
-		}
+		return nil, err
 	}
 	flat := make([]float64, len(xs)*c.rows)
 	ys := make([][]float64, len(xs))
 	for l := range ys {
 		ys[l] = flat[l*c.rows : (l+1)*c.rows]
 	}
-	if err := c.scatter(ctx, xs, ys); err != nil {
+	var err error
+	if batched {
+		err = c.bat.Submit(ctx, caller{x: xs[0], y: ys[0]})
+		if err == server.ErrOverloaded {
+			c.in.shed.Inc()
+		}
+	} else {
+		err = c.scatter(ctx, xs, ys)
+	}
+	if err != nil {
 		c.in.failed.Inc()
 		return nil, err
 	}
 	c.in.ok.Inc()
 	return ys, nil
+}
+
+// checkPanel rejects an empty panel and any vector whose length is not
+// the column dimension.
+func (c *Coordinator) checkPanel(xs [][]float64) error {
+	if len(xs) == 0 {
+		return &formats.PanelError{Format: "sharded", NX: 0, NY: 0}
+	}
+	for _, x := range xs {
+		if len(x) != c.cols {
+			return &formats.DimError{Format: "sharded", Rows: c.rows, Cols: c.cols, LenX: len(x), LenY: c.rows}
+		}
+	}
+	return nil
+}
+
+// caller is one batched MulVec: its x, and the y the panel scatter
+// writes.
+type caller struct{ x, y []float64 }
+
+// scatterPanel is the batcher's dispatch: the live callers scatter as one
+// panel under their earliest deadline (callers without one fall back to
+// Options.Timeout inside scatter), and every member gets the panel's
+// all-or-nothing outcome.
+func (c *Coordinator) scatterPanel(ctx context.Context, cls []caller, errs []error) {
+	c.pxs, c.pys = c.pxs[:0], c.pys[:0]
+	for _, cl := range cls {
+		c.pxs = append(c.pxs, cl.x)
+		c.pys = append(c.pys, cl.y)
+	}
+	err := c.scatter(ctx, c.pxs, c.pys)
+	for i := range errs {
+		errs[i] = err
+	}
 }
 
 // Update refuses point updates with ErrUpdatesUnsupported: a sharded
@@ -361,7 +390,7 @@ func (c *Coordinator) Close() {
 	// batched callers hold the wait group while they wait for the loop's
 	// reply.
 	if c.bat != nil {
-		c.bat.close()
+		c.bat.Close()
 	}
 	c.wg.Wait()
 	c.tr.CloseIdleConnections()
@@ -419,17 +448,11 @@ func (r *frameReader) Close() error {
 	return nil
 }
 
-// encodeFrame encodes the scatter frame for one shard into the pooled
-// buffer: SpS1 for a single vector (byte-compatible with a panel-unaware
-// fleet), SpS2 for a panel. With a warm buffer the encode allocates
-// nothing.
+// encodeFrame encodes the SpS2 scatter frame for one shard into the
+// pooled buffer. With a warm buffer the encode allocates nothing.
 func encodeFrame(fb *frameBuf, row0, row1 int, xs [][]float64) error {
 	var err error
-	if len(xs) == 1 {
-		fb.buf, err = server.AppendShardRequest(fb.buf[:0], row0, row1, xs[0])
-	} else {
-		fb.buf, err = server.AppendShardPanel(fb.buf[:0], row0, row1, xs)
-	}
+	fb.buf, err = server.AppendShardPanel(fb.buf[:0], row0, row1, xs)
 	return err
 }
 
@@ -586,17 +609,12 @@ func (c *Coordinator) attempt(ctx context.Context, i int, sh *shardState, fb *fr
 }
 
 // do performs one HTTP request against one replica: propagate the
-// remaining budget, post the frame, decode and validate the partial.
-// k = 1 speaks SpS1/SpP1 at the mulvec endpoint; k > 1 speaks SpS2/SpP2
-// at mulvecs. The returned flat slice holds the k partial vectors
-// concatenated.
+// remaining budget, post the SpS2 frame to the mulvecs endpoint, decode
+// and validate the SpP2 partial. The returned flat slice holds the k
+// partial vectors concatenated.
 func (c *Coordinator) do(ctx context.Context, rep Replica, sh *shardState, fb *frameBuf, k int) ([]float64, error) {
-	path, ct := "/mulvec", server.ContentTypeShardRequest
-	if k > 1 {
-		path, ct = "/mulvecs", server.ContentTypePanelRequest
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+rep.Addr+"/v1/shard/"+rep.Matrix+path, nil)
+		"http://"+rep.Addr+"/v1/shard/"+rep.Matrix+"/mulvecs", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -606,7 +624,7 @@ func (c *Coordinator) do(ctx context.Context, rep Replica, sh *shardState, fb *f
 	req.Body = fb.reader()
 	req.ContentLength = int64(len(fb.buf))
 	req.GetBody = func() (io.ReadCloser, error) { return fb.reader(), nil }
-	req.Header.Set("Content-Type", ct)
+	req.Header.Set("Content-Type", server.ContentTypePanelRequest)
 	if dl, ok := ctx.Deadline(); ok {
 		budget := time.Until(dl)
 		if budget <= 0 {
@@ -625,10 +643,7 @@ func (c *Coordinator) do(ctx context.Context, rep Replica, sh *shardState, fb *f
 	// coordinator buffer an arbitrarily large reply before decode rejects
 	// it.
 	rows := sh.row1 - sh.row0
-	limit := int64(server.PartialFrameLen(rows))
-	if k > 1 {
-		limit = int64(server.PartialPanelLen(rows, k))
-	}
+	limit := int64(server.PartialPanelLen(rows, k))
 	if limit < 4096 {
 		limit = 4096
 	}
@@ -643,17 +658,6 @@ func (c *Coordinator) do(ctx context.Context, rep Replica, sh *shardState, fb *f
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, remoteErr(resp.StatusCode, data)
-	}
-	if k == 1 {
-		r0, r1, y, err := server.DecodePartialInto(nil, data, rows)
-		if err != nil {
-			return nil, err
-		}
-		if r0 != sh.row0 || r1 != sh.row1 {
-			return nil, fmt.Errorf("%w: partial [%d, %d) for shard [%d, %d)",
-				server.ErrWireRange, r0, r1, sh.row0, sh.row1)
-		}
-		return y, nil
 	}
 	r0, r1, gk, flat, err := server.DecodePartialPanelInto(nil, data, rows, k)
 	if err != nil {
