@@ -6,23 +6,9 @@ import (
 	"testing"
 )
 
-func mustEncodeShardReq(tb testing.TB, row0, row1 int, x []float64) []byte {
-	tb.Helper()
-	data, err := EncodeShardRequest(row0, row1, x)
-	if err != nil {
-		tb.Fatalf("EncodeShardRequest([%d,%d), %d elements): %v", row0, row1, len(x), err)
-	}
-	return data
-}
-
-func mustEncodePartial(tb testing.TB, row0, row1 int, y []float64) []byte {
-	tb.Helper()
-	data, err := EncodePartial(row0, row1, y)
-	if err != nil {
-		tb.Fatalf("EncodePartial([%d,%d), %d elements): %v", row0, row1, len(y), err)
-	}
-	return data
-}
+// A single-vector shard call travels as a panel of one: the tests below
+// pin the SpS2/SpP2 frames at k = 1, the shape every unbatched scatter
+// and partial takes on the wire.
 
 func TestShardWireRoundTrip(t *testing.T) {
 	cases := []struct {
@@ -35,14 +21,14 @@ func TestShardWireRoundTrip(t *testing.T) {
 		{100, 228, []float64{0, -1, math.Pi, math.Inf(1), math.NaN(), -0.0}},
 	}
 	for _, tc := range cases {
-		req := mustEncodeShardReq(t, tc.row0, tc.row1, tc.x)
-		r0, r1, got, err := DecodeShardRequestInto(nil, req, len(tc.x))
+		req := mustEncodePanelReq(t, tc.row0, tc.row1, [][]float64{tc.x})
+		r0, r1, n, k, got, err := DecodePanelInto(nil, req, len(tc.x), 1)
 		if err != nil {
 			t.Fatalf("decode request [%d,%d): %v", tc.row0, tc.row1, err)
 		}
-		if r0 != tc.row0 || r1 != tc.row1 || len(got) != len(tc.x) {
-			t.Fatalf("request round trip: [%d,%d) len %d, want [%d,%d) len %d",
-				r0, r1, len(got), tc.row0, tc.row1, len(tc.x))
+		if r0 != tc.row0 || r1 != tc.row1 || n != len(tc.x) || k != 1 || len(got) != len(tc.x) {
+			t.Fatalf("request round trip: [%d,%d) n=%d k=%d len %d, want [%d,%d) n=%d k=1",
+				r0, r1, n, k, len(got), tc.row0, tc.row1, len(tc.x))
 		}
 		for i := range tc.x {
 			if math.Float64bits(got[i]) != math.Float64bits(tc.x[i]) {
@@ -53,13 +39,13 @@ func TestShardWireRoundTrip(t *testing.T) {
 
 	// Partial frames: len(y) is pinned to the row range.
 	y := []float64{2, -4, math.NaN(), 8}
-	part := mustEncodePartial(t, 10, 14, y)
-	r0, r1, got, err := DecodePartialInto(nil, part, 4)
+	part := mustEncodePanelPart(t, 10, 14, [][]float64{y})
+	r0, r1, k, got, err := DecodePartialPanelInto(nil, part, 4, 1)
 	if err != nil {
 		t.Fatalf("decode partial: %v", err)
 	}
-	if r0 != 10 || r1 != 14 || len(got) != 4 {
-		t.Fatalf("partial round trip: [%d,%d) len %d", r0, r1, len(got))
+	if r0 != 10 || r1 != 14 || k != 1 || len(got) != 4 {
+		t.Fatalf("partial round trip: [%d,%d) k=%d len %d", r0, r1, k, len(got))
 	}
 	for i := range y {
 		if math.Float64bits(got[i]) != math.Float64bits(y[i]) {
@@ -69,25 +55,25 @@ func TestShardWireRoundTrip(t *testing.T) {
 }
 
 func TestShardWireEncodeGuards(t *testing.T) {
-	if _, err := EncodeShardRequest(4, 2, nil); !errors.Is(err, ErrWireRange) {
+	if _, err := EncodeShardPanel(4, 2, [][]float64{nil}); !errors.Is(err, ErrWireRange) {
 		t.Errorf("inverted request range: err = %v, want ErrWireRange", err)
 	}
-	if _, err := EncodeShardRequest(-1, 2, nil); !errors.Is(err, ErrWireRange) {
+	if _, err := EncodeShardPanel(-1, 2, [][]float64{nil}); !errors.Is(err, ErrWireRange) {
 		t.Errorf("negative row0: err = %v, want ErrWireRange", err)
 	}
-	if _, err := EncodePartial(5, 3, nil); !errors.Is(err, ErrWireRange) {
+	if _, err := EncodePartialPanel(5, 3, [][]float64{nil}); !errors.Is(err, ErrWireRange) {
 		t.Errorf("inverted partial range: err = %v, want ErrWireRange", err)
 	}
 	// A partial frame whose element count disagrees with its range is a
 	// lie about which rows it carries; the encoder refuses to build it.
-	if _, err := EncodePartial(0, 3, []float64{1, 2}); !errors.Is(err, ErrWireRange) {
-		t.Errorf("partial range/len mismatch: err = %v, want ErrWireRange", err)
+	if _, err := EncodePartialPanel(0, 3, [][]float64{{1, 2}}); !errors.Is(err, ErrWirePanel) {
+		t.Errorf("partial range/len mismatch: err = %v, want ErrWirePanel", err)
 	}
 }
 
 func TestShardWireDecodeErrors(t *testing.T) {
-	req := mustEncodeShardReq(t, 2, 6, []float64{1, 2, 3})
-	part := mustEncodePartial(t, 2, 5, []float64{1, 2, 3})
+	req := mustEncodePanelReq(t, 2, 6, [][]float64{{1, 2, 3}})
+	part := mustEncodePanelPart(t, 2, 5, [][]float64{{1, 2, 3}})
 
 	corrupt := func(data []byte, at int) []byte {
 		c := append([]byte{}, data...)
@@ -108,11 +94,11 @@ func TestShardWireDecodeErrors(t *testing.T) {
 		{"oversized", req, 2, ErrWireTooLarge},
 		{"truncated body", req[:len(req)-1], 8, ErrWireTruncated},
 		{"trailing", append(append([]byte{}, req...), 0), 8, ErrWireTrailing},
-		{"corrupt element", corrupt(req, shardReqHeaderLen+5), 8, ErrWireChecksum},
-		{"corrupt crc", corrupt(req, 21), 8, ErrWireChecksum},
+		{"corrupt element", corrupt(req, panelReqHeaderLen+5), 8, ErrWireChecksum},
+		{"corrupt crc", corrupt(req, 25), 8, ErrWireChecksum},
 	}
 	for _, tc := range reqCases {
-		if _, _, _, err := DecodeShardRequestInto(nil, tc.data, tc.maxN); !errors.Is(err, tc.want) {
+		if _, _, _, _, _, err := DecodePanelInto(nil, tc.data, tc.maxN, 1); !errors.Is(err, tc.want) {
 			t.Errorf("request %s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
@@ -129,10 +115,10 @@ func TestShardWireDecodeErrors(t *testing.T) {
 		{"oversized range", part, 2, ErrWireTooLarge},
 		{"truncated body", part[:len(part)-2], 8, ErrWireTruncated},
 		{"trailing", append(append([]byte{}, part...), 0), 8, ErrWireTrailing},
-		{"corrupt element", corrupt(part, partialHeaderLen), 8, ErrWireChecksum},
+		{"corrupt element", corrupt(part, panelPartHeaderLen), 8, ErrWireChecksum},
 	}
 	for _, tc := range partCases {
-		if _, _, _, err := DecodePartialInto(nil, tc.data, tc.maxRows); !errors.Is(err, tc.want) {
+		if _, _, _, _, err := DecodePartialPanelInto(nil, tc.data, tc.maxRows, 1); !errors.Is(err, tc.want) {
 			t.Errorf("partial %s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
@@ -142,32 +128,32 @@ func TestShardWireDecodeErrors(t *testing.T) {
 	// exists.
 	forged := append([]byte{}, part...)
 	forged[12], forged[13] = 0xff, 0xff
-	if _, _, _, err := DecodePartialInto(nil, forged, 1<<30); !errors.Is(err, ErrWireTruncated) {
+	if _, _, _, _, err := DecodePartialPanelInto(nil, forged, 1<<30, 1); !errors.Is(err, ErrWireTruncated) {
 		t.Fatalf("forged partial range: err = %v, want ErrWireTruncated", err)
 	}
 }
 
 // TestShardWireZeroAlloc pins the pooled decode paths used on the shard
-// hot path: steady-state request and partial decodes into sufficient
-// scratch perform no allocations.
+// hot path: steady-state single-vector request and partial decodes into
+// sufficient scratch perform no allocations.
 func TestShardWireZeroAlloc(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5, 6, 7}
-	req := mustEncodeShardReq(t, 0, 9, x)
-	part := mustEncodePartial(t, 0, 7, x)
+	req := mustEncodePanelReq(t, 0, 9, [][]float64{x})
+	part := mustEncodePanelPart(t, 0, 7, [][]float64{x})
 	scratch := make([]float64, 0, 16)
 
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, _, _, err := DecodeShardRequestInto(scratch, req, 16); err != nil {
+		if _, _, _, _, _, err := DecodePanelInto(scratch, req, 16, 1); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("steady-state DecodeShardRequestInto allocates %.1f/op, want 0", allocs)
+		t.Errorf("steady-state k=1 DecodePanelInto allocates %.1f/op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, _, _, err := DecodePartialInto(scratch, part, 16); err != nil {
+		if _, _, _, _, err := DecodePartialPanelInto(scratch, part, 16, 1); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("steady-state DecodePartialInto allocates %.1f/op, want 0", allocs)
+		t.Errorf("steady-state k=1 DecodePartialPanelInto allocates %.1f/op, want 0", allocs)
 	}
 }
