@@ -50,19 +50,16 @@ import (
 	"blockspmv/internal/core"
 	"blockspmv/internal/csr"
 	"blockspmv/internal/csrdu"
-	"blockspmv/internal/dcsr"
 	"blockspmv/internal/floats"
 	"blockspmv/internal/formats"
 	"blockspmv/internal/machine"
 	"blockspmv/internal/mat"
-	"blockspmv/internal/multidec"
 	"blockspmv/internal/overlay"
 	"blockspmv/internal/parallel"
 	"blockspmv/internal/profile"
 	"blockspmv/internal/reorder"
 	"blockspmv/internal/sell"
 	"blockspmv/internal/solver"
-	"blockspmv/internal/ubcsr"
 	"blockspmv/internal/vbl"
 	"blockspmv/internal/vbr"
 )
@@ -174,13 +171,6 @@ func NewBCSRDec[T Float](m *Matrix[T], r, c int, impl Impl) Format[T] {
 	return bcsr.NewDecomposed(m, r, c, impl)
 }
 
-// NewUBCSR converts a finalized matrix to column-unaligned BCSR (Vuduc &
-// Moon): r x c blocks anchored greedily at arbitrary columns, trading
-// BCSR's alignment (and its vectorization friendliness) for less padding.
-func NewUBCSR[T Float](m *Matrix[T], r, c int, impl Impl) Format[T] {
-	return ubcsr.New(m, r, c, impl)
-}
-
 // NewBCSD converts a finalized matrix to BCSD with aligned, zero-padded
 // diagonal blocks of length b (2..MaxBlockElems).
 func NewBCSD[T Float](m *Matrix[T], b int, impl Impl) Format[T] {
@@ -244,20 +234,6 @@ func NewSELL[T Float](m *Matrix[T], chunk, sigma int, impl Impl) Format[T] {
 func NewSELLCompact[T Float](m *Matrix[T], chunk, sigma int, impl Impl) Format[T] {
 	return sell.NewCompact(m, chunk, sigma, impl)
 }
-
-// NewMultiDec converts a finalized matrix to the k=3 multi-pattern
-// decomposition of Agarwal et al.: completely dense aligned r x c blocks,
-// completely dense aligned length-b diagonal blocks extracted from the
-// remainder, and a CSR tail — never any padding.
-func NewMultiDec[T Float](m *Matrix[T], r, c, b int, impl Impl) Format[T] {
-	return multidec.New(m, r, c, b, impl)
-}
-
-// NewDCSR converts a finalized matrix to delta-compressed CSR: column
-// indices stored as per-row variable-length deltas (1 byte for gaps under
-// 255), the index-compression branch of the working-set-reduction
-// optimizations (Willcock & Lumsdaine; Kourtis et al.).
-func NewDCSR[T Float](m *Matrix[T]) Format[T] { return dcsr.New(m) }
 
 // MutableFormat is a delta overlay over a multiply-ready format: it
 // implements Format and additionally accepts point updates — Set, Add,

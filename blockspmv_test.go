@@ -288,25 +288,6 @@ func TestSolvePublicAPI(t *testing.T) {
 	}
 }
 
-func TestMultiDecPublicAPI(t *testing.T) {
-	m := buildTestMatrix()
-	f := blockspmv.NewMultiDec(m, 2, 4, 2, blockspmv.Scalar)
-	mulAndCompare(t, m, f)
-	if f.StoredScalars() != f.NNZ() {
-		t.Errorf("multi-dec stores %d scalars for %d nonzeros", f.StoredScalars(), f.NNZ())
-	}
-}
-
-func TestDCSRPublicAPI(t *testing.T) {
-	m := buildTestMatrix()
-	mulAndCompare(t, m, blockspmv.NewDCSR(m))
-}
-
-func TestUBCSRPublicAPI(t *testing.T) {
-	m := buildTestMatrix()
-	mulAndCompare(t, m, blockspmv.NewUBCSR(m, 2, 4, blockspmv.Vector))
-}
-
 func TestWithImplPublicAPI(t *testing.T) {
 	m := buildTestMatrix()
 	f := blockspmv.NewBCSR(m, 2, 4, blockspmv.Scalar)

@@ -9,14 +9,11 @@ import (
 	"blockspmv/internal/core"
 	"blockspmv/internal/csr"
 	"blockspmv/internal/csrdu"
-	"blockspmv/internal/dcsr"
 	"blockspmv/internal/formats"
 	"blockspmv/internal/mat"
-	"blockspmv/internal/multidec"
 	"blockspmv/internal/overlay"
 	"blockspmv/internal/parallel"
 	"blockspmv/internal/sell"
-	"blockspmv/internal/ubcsr"
 	"blockspmv/internal/vbl"
 	"blockspmv/internal/vbr"
 	"blockspmv/internal/workpool"
@@ -222,18 +219,6 @@ func NewBCSRDecChecked[T Float](m *Matrix[T], r, c int, impl Impl) (Format[T], e
 	return construct(name, func() Format[T] { return bcsr.NewDecomposed(m, r, c, impl) })
 }
 
-// NewUBCSRChecked is NewUBCSR over validated input.
-func NewUBCSRChecked[T Float](m *Matrix[T], r, c int, impl Impl) (Format[T], error) {
-	if err := blocks.RectShape(r, c).Check(); err != nil {
-		return nil, err
-	}
-	if err := checkedInput(m); err != nil {
-		return nil, err
-	}
-	name := fmt.Sprintf("UBCSR(%dx%d)", r, c)
-	return construct(name, func() Format[T] { return ubcsr.New(m, r, c, impl) })
-}
-
 // NewBCSDChecked is NewBCSD over validated input; bad b returns a
 // *ShapeError.
 func NewBCSDChecked[T Float](m *Matrix[T], b int, impl Impl) (Format[T], error) {
@@ -300,30 +285,6 @@ func NewSELLChecked[T Float](m *Matrix[T], chunk, sigma int, impl Impl) (Format[
 	}
 	name := fmt.Sprintf("SELL-%d-%s", chunk, sell.SigmaName(sigma))
 	return construct(name, func() Format[T] { return sell.New(m, chunk, sigma, impl) })
-}
-
-// NewMultiDecChecked is NewMultiDec over validated input; bad r, c or b
-// return a *ShapeError.
-func NewMultiDecChecked[T Float](m *Matrix[T], r, c, b int, impl Impl) (Format[T], error) {
-	if err := blocks.RectShape(r, c).Check(); err != nil {
-		return nil, err
-	}
-	if err := blocks.DiagShape(b).Check(); err != nil {
-		return nil, err
-	}
-	if err := checkedInput(m); err != nil {
-		return nil, err
-	}
-	name := fmt.Sprintf("MultiDec(%dx%d,d%d)", r, c, b)
-	return construct(name, func() Format[T] { return multidec.New(m, r, c, b, impl) })
-}
-
-// NewDCSRChecked is NewDCSR over validated input.
-func NewDCSRChecked[T Float](m *Matrix[T]) (Format[T], error) {
-	if err := checkedInput(m); err != nil {
-		return nil, err
-	}
-	return construct("DCSR", func() Format[T] { return dcsr.New(m) })
 }
 
 // NewOverlayChecked is NewOverlay over validated input: a nil or

@@ -30,9 +30,6 @@ func checkedConstructors() map[string]func(*blockspmv.Matrix[float64]) (blockspm
 		"BCSR-DEC": func(m *blockspmv.Matrix[float64]) (blockspmv.Format[float64], error) {
 			return blockspmv.NewBCSRDecChecked(m, 2, 4, blockspmv.Scalar)
 		},
-		"UBCSR": func(m *blockspmv.Matrix[float64]) (blockspmv.Format[float64], error) {
-			return blockspmv.NewUBCSRChecked(m, 2, 4, blockspmv.Scalar)
-		},
 		"BCSD": func(m *blockspmv.Matrix[float64]) (blockspmv.Format[float64], error) {
 			return blockspmv.NewBCSDChecked(m, 4, blockspmv.Scalar)
 		},
@@ -50,12 +47,6 @@ func checkedConstructors() map[string]func(*blockspmv.Matrix[float64]) (blockspm
 		},
 		"VBR": func(m *blockspmv.Matrix[float64]) (blockspmv.Format[float64], error) {
 			return blockspmv.NewVBRChecked(m, blockspmv.Scalar)
-		},
-		"MultiDec": func(m *blockspmv.Matrix[float64]) (blockspmv.Format[float64], error) {
-			return blockspmv.NewMultiDecChecked(m, 2, 4, 2, blockspmv.Scalar)
-		},
-		"DCSR": func(m *blockspmv.Matrix[float64]) (blockspmv.Format[float64], error) {
-			return blockspmv.NewDCSRChecked(m)
 		},
 	}
 }
@@ -126,12 +117,6 @@ func TestCheckedConstructorsRejectBadShapes(t *testing.T) {
 		if _, err := blockspmv.NewBCSRDecChecked(m, rc[0], rc[1], blockspmv.Scalar); !errors.As(err, &se) {
 			t.Errorf("BCSR-DEC %dx%d: err = %v, want *ShapeError", rc[0], rc[1], err)
 		}
-		if _, err := blockspmv.NewUBCSRChecked(m, rc[0], rc[1], blockspmv.Scalar); !errors.As(err, &se) {
-			t.Errorf("UBCSR %dx%d: err = %v, want *ShapeError", rc[0], rc[1], err)
-		}
-		if _, err := blockspmv.NewMultiDecChecked(m, rc[0], rc[1], 2, blockspmv.Scalar); !errors.As(err, &se) {
-			t.Errorf("MultiDec rect %dx%d: err = %v, want *ShapeError", rc[0], rc[1], err)
-		}
 	}
 	for _, c := range []int{-4, 0} {
 		if _, err := blockspmv.NewSELLChecked(m, c, 1, blockspmv.Scalar); err == nil {
@@ -147,9 +132,6 @@ func TestCheckedConstructorsRejectBadShapes(t *testing.T) {
 		}
 		if _, err := blockspmv.NewBCSDDecChecked(m, b, blockspmv.Scalar); !errors.As(err, &se) {
 			t.Errorf("BCSD-DEC d%d: err = %v, want *ShapeError", b, err)
-		}
-		if _, err := blockspmv.NewMultiDecChecked(m, 2, 4, b, blockspmv.Scalar); !errors.As(err, &se) {
-			t.Errorf("MultiDec d%d: err = %v, want *ShapeError", b, err)
 		}
 	}
 }

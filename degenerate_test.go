@@ -56,9 +56,6 @@ func allConstructors() map[string]func(*blockspmv.Matrix[float64]) blockspmv.For
 		"BCSR-DEC": func(m *blockspmv.Matrix[float64]) blockspmv.Format[float64] {
 			return blockspmv.NewBCSRDec(m, 2, 4, blockspmv.Scalar)
 		},
-		"UBCSR": func(m *blockspmv.Matrix[float64]) blockspmv.Format[float64] {
-			return blockspmv.NewUBCSR(m, 2, 4, blockspmv.Scalar)
-		},
 		"BCSD": func(m *blockspmv.Matrix[float64]) blockspmv.Format[float64] {
 			return blockspmv.NewBCSD(m, 4, blockspmv.Scalar)
 		},
@@ -79,12 +76,6 @@ func allConstructors() map[string]func(*blockspmv.Matrix[float64]) blockspmv.For
 		},
 		"VBR": func(m *blockspmv.Matrix[float64]) blockspmv.Format[float64] {
 			return blockspmv.NewVBR(m, blockspmv.Scalar)
-		},
-		"MultiDec": func(m *blockspmv.Matrix[float64]) blockspmv.Format[float64] {
-			return blockspmv.NewMultiDec(m, 2, 4, 2, blockspmv.Scalar)
-		},
-		"DCSR": func(m *blockspmv.Matrix[float64]) blockspmv.Format[float64] {
-			return blockspmv.NewDCSR(m)
 		},
 	}
 }

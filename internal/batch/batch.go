@@ -106,12 +106,16 @@ func (b *Batcher[T]) Submit(ctx context.Context, item T) error {
 		b.mu.RUnlock()
 		return b.cfg.Closed
 	}
+	// Count the item before it becomes visible to the loop, whose
+	// receive decrements the gauge: counting after the send would let
+	// the gauge dip below the true queue length.
+	b.queued(1)
 	select {
 	case b.ch <- e:
 		b.mu.RUnlock()
-		b.queued(1)
 	default:
 		b.mu.RUnlock()
+		b.queued(-1)
 		return b.cfg.Full
 	}
 	select {

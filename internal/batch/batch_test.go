@@ -284,3 +284,39 @@ func TestCloseDrains(t *testing.T) {
 		t.Fatalf("queued gauge = %d after drain, want 0", q)
 	}
 }
+
+// TestQueuedGaugeNeverNegative: a submit counts its item before the loop
+// can take it, so the gauge never reads below the number of items
+// actually waiting — not even while a submitting goroutine is still
+// between its send and its return.
+func TestQueuedGaugeNeverNegative(t *testing.T) {
+	leakcheck.Check(t)
+	queued := metrics.NewRegistry().Gauge("queued", "items waiting")
+	var low int64
+	b := New(Config[int]{
+		Max: 1, Depth: 64,
+		Full: errFull, Closed: errClosed,
+		Queued: queued,
+		Dispatch: func(context.Context, []int, []error) {
+			low = min(low, queued.Value())
+		},
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if err := b.Submit(context.Background(), i); err != nil && err != errFull {
+					t.Errorf("submit: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.Close() // Dispatch runs on the loop goroutine; Close orders its writes before the read
+	if low < 0 {
+		t.Fatalf("queued gauge read %d during a dispatch, want >= 0", low)
+	}
+}

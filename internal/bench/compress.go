@@ -7,7 +7,6 @@ import (
 	"blockspmv/internal/blocks"
 	"blockspmv/internal/csr"
 	"blockspmv/internal/csrdu"
-	"blockspmv/internal/dcsr"
 	"blockspmv/internal/floats"
 	"blockspmv/internal/formats"
 	"blockspmv/internal/suite"
@@ -47,8 +46,8 @@ type CompressResult struct {
 
 // Compress measures the compressed-index CSR variants against the plain
 // CSR baseline (dp): narrow fixed-width indices (CSR/ix16, CSR/ix8 where
-// the matrix width admits them), the delta-unit CSR-DU in both kernel
-// classes, and the byte-delta DCSR. Alongside each measurement it reports
+// the matrix width admits them) and the delta-unit CSR-DU in both kernel
+// classes. Alongside each measurement it reports
 // the MEM model's predicted speedup, which for equal-computation variants
 // is just the working-set ratio — the experiment that validates "fewer
 // index bytes => proportionally faster" on bandwidth-bound matrices.
@@ -70,7 +69,7 @@ func Compress(cfg Config) []CompressResult {
 			insts = append(insts, compact)
 		}
 		du := csrdu.New(m, blocks.Scalar)
-		insts = append(insts, du, du.WithImpl(blocks.Vector), dcsr.New(m))
+		insts = append(insts, du, du.WithImpl(blocks.Vector))
 
 		res := CompressResult{
 			Info:      info,

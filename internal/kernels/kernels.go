@@ -85,12 +85,6 @@ func Rect[T floats.Float](r, c int, impl blocks.Impl) BlockRowKernel[T] {
 	return RectIx[T, int32](r, c, impl)
 }
 
-// Diag returns the unrolled diagonal block-row kernel for diagonal length
-// b with int32 indices, or nil if b is not in the generated set.
-func Diag[T floats.Float](b int, impl blocks.Impl) BlockRowKernel[T] {
-	return DiagIx[T, int32](b, impl)
-}
-
 // ForShape returns the generated unrolled kernel for the shape and
 // implementation class with int32 indices, or nil if the shape is outside
 // the generated set.
@@ -153,11 +147,6 @@ func DiagGenericIx[T floats.Float, I idx.Index](b int) BlockRowKernelIx[T, I] {
 			}
 		}
 	}
-}
-
-// DiagGeneric is DiagGenericIx with int32 indices.
-func DiagGeneric[T floats.Float](b int) BlockRowKernel[T] {
-	return DiagGenericIx[T, int32](b)
 }
 
 // GenericIx returns the loop-based kernel for any valid shape and index

@@ -106,11 +106,11 @@ func TestDispatchUnknownShapes(t *testing.T) {
 	if Rect[float64](3, 3, blocks.Scalar) != nil {
 		t.Error("Rect(3,3) returned a kernel for an invalid shape")
 	}
-	if Diag[float64](1, blocks.Scalar) != nil {
-		t.Error("Diag(1) returned a kernel")
+	if DiagIx[float64, int32](1, blocks.Scalar) != nil {
+		t.Error("DiagIx(1) returned a kernel")
 	}
-	if Diag[float64](9, blocks.Vector) != nil {
-		t.Error("Diag(9) returned a kernel")
+	if DiagIx[float64, int32](9, blocks.Vector) != nil {
+		t.Error("DiagIx(9) returned a kernel")
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"blockspmv/internal/floats"
 	"blockspmv/internal/formats"
 	"blockspmv/internal/leakcheck"
+	"blockspmv/internal/mat"
 	"blockspmv/internal/multidec"
 	"blockspmv/internal/parallel"
 	"blockspmv/internal/testmat"
@@ -140,6 +141,23 @@ func TestMulMatchesSequential(t *testing.T) {
 	}
 }
 
+// familyInstances stores m in one instance of every format family the
+// pool tests cover, keyed by the subtest name.
+func familyInstances(m *mat.COO[float64]) map[string]formats.Instance[float64] {
+	return map[string]formats.Instance[float64]{
+		"CSR":       csr.FromCOO(m, blocks.Scalar),
+		"BCSR(2x3)": bcsr.New(m, 2, 3, blocks.Vector),
+		"BCSR-DEC":  bcsr.NewDecomposed(m, 4, 2, blocks.Scalar),
+		"UBCSR":     ubcsr.New(m, 2, 2, blocks.Scalar),
+		"BCSD(d4)":  bcsd.New(m, 4, blocks.Scalar),
+		"BCSD-DEC":  bcsd.NewDecomposed(m, 4, blocks.Vector),
+		"1D-VBL":    vbl.New(m, blocks.Scalar),
+		"VBR":       vbr.New(m, blocks.Scalar),
+		"DCSR":      dcsr.New(m),
+		"MultiDec":  multidec.New(m, 2, 2, 4, blocks.Scalar),
+	}
+}
+
 // TestPooledMatchesSerialBitForBit is the pool correctness property: for
 // every format family, the pooled MulVec must reproduce the serial
 // Format.Mul exactly — each row is computed by exactly one worker with
@@ -149,18 +167,7 @@ func TestPooledMatchesSerialBitForBit(t *testing.T) {
 	leakcheck.Check(t)
 	corpus := testmat.Corpus[float64]()
 	for name, m := range corpus {
-		insts := map[string]formats.Instance[float64]{
-			"CSR":       csr.FromCOO(m, blocks.Scalar),
-			"BCSR(2x3)": bcsr.New(m, 2, 3, blocks.Vector),
-			"BCSR-DEC":  bcsr.NewDecomposed(m, 4, 2, blocks.Scalar),
-			"UBCSR":     ubcsr.New(m, 2, 2, blocks.Scalar),
-			"BCSD(d4)":  bcsd.New(m, 4, blocks.Scalar),
-			"BCSD-DEC":  bcsd.NewDecomposed(m, 4, blocks.Vector),
-			"1D-VBL":    vbl.New(m, blocks.Scalar),
-			"VBR":       vbr.New(m, blocks.Scalar),
-			"DCSR":      dcsr.New(m),
-			"MultiDec":  multidec.New(m, 2, 2, 4, blocks.Scalar),
-		}
+		insts := familyInstances(m)
 		x := floats.RandVector[float64](m.Cols(), 17)
 		for iname, inst := range insts {
 			want := make([]float64, m.Rows())
@@ -403,18 +410,7 @@ func TestMulVecsMatchesMulVecBitForBit(t *testing.T) {
 	leakcheck.Check(t)
 	corpus := testmat.Corpus[float64]()
 	for name, m := range corpus {
-		insts := map[string]formats.Instance[float64]{
-			"CSR":       csr.FromCOO(m, blocks.Scalar),
-			"BCSR(2x3)": bcsr.New(m, 2, 3, blocks.Vector),
-			"BCSR-DEC":  bcsr.NewDecomposed(m, 4, 2, blocks.Scalar),
-			"UBCSR":     ubcsr.New(m, 2, 2, blocks.Scalar),
-			"BCSD(d4)":  bcsd.New(m, 4, blocks.Scalar),
-			"BCSD-DEC":  bcsd.NewDecomposed(m, 4, blocks.Vector),
-			"1D-VBL":    vbl.New(m, blocks.Scalar),
-			"VBR":       vbr.New(m, blocks.Scalar),
-			"DCSR":      dcsr.New(m),
-			"MultiDec":  multidec.New(m, 2, 2, 4, blocks.Scalar),
-		}
+		insts := familyInstances(m)
 		for iname, inst := range insts {
 			for _, k := range []int{1, 2, 3, 8} {
 				x := make([][]float64, k)
