@@ -18,7 +18,7 @@ RACE_PKGS = ./internal/workpool ./internal/parallel ./internal/vecops ./internal
 
 FUZZTIME ?= 5s
 
-.PHONY: check vet build test race fuzz gencheck bench bench-json
+.PHONY: check vet build test race fuzz gencheck bench bench-json loc
 
 check: vet build test race fuzz gencheck
 
@@ -38,6 +38,11 @@ gencheck:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints the non-test, non-generated Go lines outside perfbench/, the
+# code-size figure simplicity changes are measured by.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -name '*_gen.go' ! -path './perfbench/*' | xargs cat | wc -l
 
 build:
 	$(GO) build ./...

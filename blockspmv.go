@@ -358,20 +358,7 @@ func RankRHS[T Float](m *Matrix[T], model Model, mach Machine, prof *Profile, rh
 		return []Prediction{{Degraded: true, Reason: "nil matrix"}}
 	}
 	m.Finalize()
-	return core.RankSafe(model, core.WithRHS(safeStats(m), rhs), mach, prof)
-}
-
-// safeStats enumerates candidate statistics under a recover backstop: a
-// structurally corrupt matrix yields an empty candidate set (which the
-// safe selection paths turn into a degraded CSR prediction) rather than
-// a crash.
-func safeStats[T Float](m *Matrix[T]) (stats []core.CandidateStats) {
-	defer func() {
-		if recover() != nil {
-			stats = nil
-		}
-	}()
-	return core.EnumerateStatsAll(mat.PatternOf(m), floats.SizeOf[T]())
+	return core.RankSafe(model, core.WithRHS(core.SafeStats(m), rhs), mach, prof)
 }
 
 // Autotune selects the best storage format for the matrix with the
@@ -408,7 +395,7 @@ func autotune[T Float](m *Matrix[T], model Model, mach Machine, prof *Profile, r
 		return nil, Prediction{Degraded: true, Reason: "nil matrix"}
 	}
 	m.Finalize()
-	best := core.SelectSafe(model, core.WithRHS(safeStats(m), rhs), mach, prof)
+	best := core.SelectSafe(model, core.WithRHS(core.SafeStats(m), rhs), mach, prof)
 	f, err := construct(best.Cand.String(), func() Format[T] { return core.Instantiate(m, best.Cand) })
 	if err == nil {
 		return f, best

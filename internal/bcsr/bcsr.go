@@ -1,24 +1,31 @@
-// Package bcsr implements the Blocked Compressed Sparse Row format (Im &
-// Yelick [8]) and its decomposed variant BCSR-DEC.
+// Package bcsr implements the paper's fixed-block formats with one
+// shape-driven storage, build and multiply path: BCSR (Im & Yelick [8])
+// with aligned r x c blocks, BCSD with aligned diagonal blocks of length
+// b (Section II.A), and their decomposed variants BCSR-DEC and BCSD-DEC.
+// Package bcsd is the diagonal entry point to this implementation.
 //
-// BCSR stores fixed r x c blocks aligned at r row- and c column-boundaries:
-// a block always starts at (i, j) with i%r == 0 and j%c == 0. Every aligned
-// block position holding at least one nonzero is stored in full, with zero
-// padding for the missing positions. Three arrays hold the matrix: bval
-// (block values, row-major within each block), bcol (4-byte starting column
-// of each block) and browPtr (4-byte pointers to the first block of each
-// block row).
+// A block of shape R x C belongs to a block row of R matrix rows starting
+// at a multiple of R. In its row i the block covers the C columns from
+// start+i*shift, where shift is 0 for a rectangular shape and 1 for a
+// diagonal one (a diagonal shape is R=b, C=1): so a BCSR block is the
+// aligned r x c tile starting at a multiple of c, and a BCSD block holds
+// the elements (i+k, j+k), k in [0,b). Every block position holding at
+// least one nonzero is stored in full, with zero padding for the missing
+// positions. Three arrays hold the matrix: bval (block values, row-major
+// within each block), bcol (starting column of each block) and browPtr
+// (4-byte pointers to the first block of each block row).
 //
-// Blocks whose column span overhangs the right matrix edge cannot use the
-// unrolled kernels (they would read x out of bounds); they are kept in a
-// small side structure and multiplied by a clipped path. Block rows at the
-// bottom edge shorter than r rows are handled with an on-stack scratch
-// output.
+// A block spans C+(R-1)*shift columns. Blocks whose span leaves
+// [0, cols) — a rectangular block overhanging the right edge, a diagonal
+// starting left of column 0 or ending right of the last column — cannot
+// use the unrolled kernels (they would read x out of bounds); they are
+// kept in a small side structure and multiplied by a clipped path, which
+// also serves the bottom block row when it is shorter than R rows.
 //
 // The interior block start columns are stored as 4-byte integers in the
 // paper's baseline and as uint16/uint8 in the compressed variants
-// (NewCompact); the rare edge-block arrays and the block-row pointers
-// always stay 4-byte.
+// (NewCompact); the rare edge-block arrays (which may hold negative
+// diagonal starts) and the block-row pointers always stay 4-byte.
 package bcsr
 
 import (
@@ -33,21 +40,62 @@ import (
 	"blockspmv/internal/mat"
 )
 
-// Mat is a sparse matrix in BCSR format with fixed r x c blocks and
+// layout is a block shape with its anchoring: in its row i a block
+// covers the C columns from start+i*shift.
+type layout struct {
+	blocks.Shape
+	shift int // 0 for rectangular shapes, 1 for diagonal ones
+	span  int // C + (R-1)*shift: the columns one block touches
+}
+
+func layoutOf(s blocks.Shape) layout {
+	l := layout{Shape: s}
+	if s.Kind == blocks.Diag {
+		l.shift = 1
+	}
+	l.span = s.C + (s.R-1)*l.shift
+	return l
+}
+
+// start returns the start column of the block holding entry (row, col)
+// of block row br.
+func (l layout) start(row, col int32, br int) int32 {
+	return (col - (row-int32(br*l.R))*int32(l.shift)) / int32(l.C) * int32(l.C)
+}
+
+// window returns the rows [i0, i1) of a block starting at column s that
+// meet [0, cols), and how many leading columns n of each such row lie
+// inside. A rectangular block is stored only when it starts inside the
+// matrix, so all its rows count and only the right edge clips; a diagonal
+// block has one column per row, so it clips by rows alone.
+func (l layout) window(s, cols int) (i0, i1, n int) {
+	if l.shift == 0 {
+		return 0, l.R, min(l.C, cols-s)
+	}
+	return max(0, -s), min(l.R, cols-s), 1
+}
+
+// interior reports whether a block starting at column s lies inside a
+// matrix of cols columns.
+func (l layout) interior(s int32, cols int) bool {
+	return s >= 0 && int(s)+l.span <= cols
+}
+
+// Mat is a sparse matrix in a fixed-block format (BCSR or BCSD) with
 // interior block start columns stored as I.
 type Mat[T floats.Float, I idx.Index] struct {
 	rows, cols int
-	r, c       int
+	lay        layout
 	impl       blocks.Impl
 	kernel     kernels.BlockRowKernelIx[T, I]
 
 	browPtr []int32 // len nBlockRows+1; indexes bcol/bval-block
-	bcol    []I     // absolute starting column of each interior block
-	bval    []T     // len(bcol) * r * c
+	bcol    []I     // starting column of each interior block
+	bval    []T     // len(bcol) * R * C
 
-	// Right-edge blocks (start column + c > cols), multiplied clipped.
+	// Edge blocks (start < 0 or start+span > cols), multiplied clipped.
 	edgeBRow []int32
-	edgeCol  []int32
+	edgeCol  []int32 // may be negative for diagonal shapes
 	edgeVal  []T
 
 	nnz int64
@@ -62,114 +110,128 @@ type Matrix[T floats.Float] = Mat[T, int32]
 // than blocks.MaxBlockElems elements (no kernel exists) or the matrix is
 // not finalized.
 func New[T floats.Float](m *mat.COO[T], r, c int, impl blocks.Impl) *Matrix[T] {
-	return NewIx[T, int32](m, r, c, impl)
-}
-
-// NewIx is New with block start columns stored as I. The caller must
-// ensure every interior start column fits I; NewCompact selects a
-// fitting type automatically.
-func NewIx[T floats.Float, I idx.Index](m *mat.COO[T], r, c int, impl blocks.Impl) *Mat[T, I] {
-	shape := blocks.RectShape(r, c)
-	if !shape.Valid() && !shape.IsUnit() {
-		panic(fmt.Sprintf("bcsr: unsupported shape %dx%d", r, c))
-	}
-	if !m.Finalized() {
-		panic("bcsr: matrix must be finalized")
-	}
-	a := &Mat[T, I]{
-		rows: m.Rows(), cols: m.Cols(), r: r, c: c, impl: impl,
-		kernel: kernels.RectIx[T, I](r, c, impl),
-		nnz:    int64(m.NNZ()),
-	}
-	if a.kernel == nil {
-		a.kernel = kernels.RectGenericIx[T, I](r, c)
-	}
-	a.build(m.Entries())
-	return a
+	return NewShape[T, int32](m, blocks.RectShape(r, c), impl)
 }
 
 // NewCompact converts a finalized coordinate matrix to BCSR with the
 // narrowest block-start-column type the matrix width permits.
 func NewCompact[T floats.Float](m *mat.COO[T], r, c int, impl blocks.Impl) formats.Instance[T] {
+	return NewShapeCompact(m, blocks.RectShape(r, c), impl)
+}
+
+// NewShape converts a finalized coordinate matrix to the fixed-block
+// format of shape s — BCSR for a rectangular shape, BCSD for a diagonal
+// one — with block start columns stored as I. The caller must ensure
+// every interior start column fits I; NewShapeCompact selects a fitting
+// type automatically.
+func NewShape[T floats.Float, I idx.Index](m *mat.COO[T], s blocks.Shape, impl blocks.Impl) *Mat[T, I] {
+	if err := s.Check(); err != nil {
+		panic(err)
+	}
+	if !m.Finalized() {
+		panic("bcsr: matrix must be finalized")
+	}
+	a := &Mat[T, I]{
+		rows: m.Rows(), cols: m.Cols(), lay: layoutOf(s), impl: impl,
+		kernel: kernelFor[T, I](s, impl),
+		nnz:    int64(m.NNZ()),
+	}
+	a.build(m.Entries())
+	return a
+}
+
+// NewShapeCompact is NewShape with the narrowest block-start-column type
+// the matrix width permits.
+func NewShapeCompact[T floats.Float](m *mat.COO[T], s blocks.Shape, impl blocks.Impl) formats.Instance[T] {
 	switch idx.FitsCols(m.Cols()) {
 	case idx.W8:
-		return NewIx[T, uint8](m, r, c, impl)
+		return NewShape[T, uint8](m, s, impl)
 	case idx.W16:
-		return NewIx[T, uint16](m, r, c, impl)
+		return NewShape[T, uint16](m, s, impl)
 	default:
-		return NewIx[T, int32](m, r, c, impl)
+		return NewShape[T, int32](m, s, impl)
 	}
 }
 
+// kernelFor returns the unrolled kernel of the shape, or the loop-based
+// one when the shape is outside the generated set.
+func kernelFor[T floats.Float, I idx.Index](s blocks.Shape, impl blocks.Impl) kernels.BlockRowKernelIx[T, I] {
+	if k := kernels.ForShapeIx[T, I](s, impl); k != nil {
+		return k
+	}
+	return kernels.GenericIx[T, I](s)
+}
+
 func (a *Mat[T, I]) build(entries []mat.Entry[T]) {
-	r, c := a.r, a.c
-	elems := r * c
-	nBlockRows := (a.rows + r - 1) / r
+	l := a.lay
+	elems := l.Elems()
+	nBlockRows := (a.rows + l.R - 1) / l.R
 	a.browPtr = make([]int32, nBlockRows+1)
 
 	// Entries are row-major sorted; process one block row at a time.
-	type span struct{ lo, hi int }
-	brSpan := func(start int) (int, span) {
-		br := int(entries[start].Row) / r
-		hi := start
-		for hi < len(entries) && int(entries[hi].Row)/r == br {
+	var starts []int32 // distinct block start columns of the current block row
+	for lo := 0; lo < len(entries); {
+		br := int(entries[lo].Row) / l.R
+		hi := lo
+		for hi < len(entries) && int(entries[hi].Row)/l.R == br {
 			hi++
 		}
-		return br, span{start, hi}
-	}
+		inRow := entries[lo:hi]
 
-	var cols []int32 // distinct block start columns of the current block row
-	for start := 0; start < len(entries); {
-		br, sp := brSpan(start)
-		start = sp.hi
-
-		cols = cols[:0]
-		for i := sp.lo; i < sp.hi; i++ {
-			cols = append(cols, entries[i].Col/int32(c)*int32(c))
+		starts = starts[:0]
+		for _, e := range inRow {
+			starts = append(starts, l.start(e.Row, e.Col, br))
 		}
-		slices.Sort(cols)
-		cols = slices.Compact(cols)
+		slices.Sort(starts)
+		starts = slices.Compact(starts)
 
-		// Split into interior and edge blocks; cols is sorted, so any edge
-		// block (there can be at most one: the last aligned position) is
-		// at the tail.
-		nInterior := len(cols)
-		for nInterior > 0 && int(cols[nInterior-1])+c > a.cols {
-			nInterior--
+		// Interior blocks form the sorted middle: leading negative
+		// diagonal starts and trailing overhangs go to the edge arrays.
+		first := 0
+		for first < len(starts) && starts[first] < 0 {
+			first++
 		}
-		interior := cols[:nInterior]
+		last := len(starts)
+		for last > first && !l.interior(starts[last-1], a.cols) {
+			last--
+		}
+		interior := starts[first:last]
 
 		base := len(a.bcol)
-		for _, v := range interior {
-			a.bcol = append(a.bcol, I(v))
+		for _, s := range interior {
+			a.bcol = append(a.bcol, I(s))
 		}
 		a.bval = append(a.bval, make([]T, len(interior)*elems)...)
-		for _, ec := range cols[nInterior:] {
-			a.edgeBRow = append(a.edgeBRow, int32(br))
-			a.edgeCol = append(a.edgeCol, ec)
-			a.edgeVal = append(a.edgeVal, make([]T, elems)...)
+		edgeBase := len(a.edgeCol)
+		for j, s := range starts {
+			if j < first || j >= last {
+				a.edgeBRow = append(a.edgeBRow, int32(br))
+				a.edgeCol = append(a.edgeCol, s)
+				a.edgeVal = append(a.edgeVal, make([]T, elems)...)
+			}
 		}
 		a.browPtr[br+1] = int32(len(a.bcol))
 
 		// Fill values.
-		for i := sp.lo; i < sp.hi; i++ {
-			e := entries[i]
-			startCol := e.Col / int32(c) * int32(c)
-			pos := (int(e.Row)%r)*c + int(e.Col-startCol)
-			if int(startCol)+c <= a.cols {
-				bi, ok := slices.BinarySearch(interior, startCol)
+		for _, e := range inRow {
+			i := int(e.Row) - br*l.R
+			s := l.start(e.Row, e.Col, br)
+			slot := i*l.C + int(e.Col) - i*l.shift - int(s)
+			if l.interior(s, a.cols) {
+				bi, ok := slices.BinarySearch(interior, s)
 				if !ok {
 					panic("bcsr: interior block lookup failed")
 				}
-				a.bval[(base+bi)*elems+pos] = e.Val
+				a.bval[(base+bi)*elems+slot] = e.Val
 			} else {
-				ei, ok := searchInt32From(a.edgeCol, a.edgeBRow, int32(br), startCol)
-				if !ok {
+				ei := slices.Index(a.edgeCol[edgeBase:], s)
+				if ei < 0 {
 					panic("bcsr: edge block lookup failed")
 				}
-				a.edgeVal[ei*elems+pos] = e.Val
+				a.edgeVal[(edgeBase+ei)*elems+slot] = e.Val
 			}
 		}
+		lo = hi
 	}
 	// browPtr entries for empty block rows: carry forward.
 	for br := 0; br < nBlockRows; br++ {
@@ -180,7 +242,7 @@ func (a *Mat[T, I]) build(entries []mat.Entry[T]) {
 }
 
 // Shape returns the block shape.
-func (a *Mat[T, I]) Shape() blocks.Shape { return blocks.RectShape(a.r, a.c) }
+func (a *Mat[T, I]) Shape() blocks.Shape { return a.lay.Shape }
 
 // Blocks returns the total number of stored blocks including edge blocks.
 func (a *Mat[T, I]) Blocks() int64 { return int64(len(a.bcol) + len(a.edgeBRow)) }
@@ -189,8 +251,16 @@ func (a *Mat[T, I]) Blocks() int64 { return int64(len(a.bcol) + len(a.edgeBRow))
 func (a *Mat[T, I]) Padding() int64 { return a.StoredScalars() - a.nnz }
 
 // Name implements formats.Instance.
-func (a *Mat[T, I]) Name() string {
-	n := fmt.Sprintf("BCSR(%dx%d)", a.r, a.c) + idx.Of[I]().Suffix()
+func (a *Mat[T, I]) Name() string { return a.name("") }
+
+// name renders the format name, e.g. "BCSR(2x3)", "BCSD-DEC(d4)/ix16/simd";
+// dec is the variant tag inserted after the family.
+func (a *Mat[T, I]) name(dec string) string {
+	family := "BCSR"
+	if a.lay.Kind == blocks.Diag {
+		family = "BCSD"
+	}
+	n := fmt.Sprintf("%s%s(%s)", family, dec, a.lay.Shape) + idx.Of[I]().Suffix()
 	if a.impl == blocks.Vector {
 		n += "/simd"
 	}
@@ -230,15 +300,16 @@ func (a *Mat[T, I]) Components() []formats.Component {
 }
 
 // RowAlign implements formats.Instance.
-func (a *Mat[T, I]) RowAlign() int { return a.r }
+func (a *Mat[T, I]) RowAlign() int { return a.lay.R }
 
-// RowWeights implements formats.Instance: every block contributes c stored
-// scalars to each of the r rows it covers. A bottom-edge block row's ghost
-// rows have their scalars redistributed over its real rows so that the
-// weights sum exactly to StoredScalars.
+// RowWeights implements formats.Instance: every block contributes C
+// stored scalars to each of the R rows it covers. A bottom-edge block
+// row's ghost rows have their scalars redistributed over its real rows so
+// that the weights sum exactly to StoredScalars.
 func (a *Mat[T, I]) RowWeights() []int64 {
+	r := a.lay.R
 	w := make([]int64, a.rows)
-	nBlockRows := (a.rows + a.r - 1) / a.r
+	nBlockRows := (a.rows + r - 1) / r
 	nBlocks := make([]int64, nBlockRows)
 	for br := 0; br < nBlockRows; br++ {
 		nBlocks[br] = int64(a.browPtr[br+1] - a.browPtr[br])
@@ -247,9 +318,9 @@ func (a *Mat[T, I]) RowWeights() []int64 {
 		nBlocks[br]++
 	}
 	for br := 0; br < nBlockRows; br++ {
-		rowStart := br * a.r
-		nReal := min(a.r, a.rows-rowStart)
-		total := nBlocks[br] * int64(a.r*a.c)
+		rowStart := br * r
+		nReal := min(r, a.rows-rowStart)
+		total := nBlocks[br] * int64(a.lay.Elems())
 		per, extra := total/int64(nReal), total%int64(nReal)
 		for i := 0; i < nReal; i++ {
 			w[rowStart+i] = per
@@ -268,13 +339,23 @@ func (a *Mat[T, I]) Mul(x, y []T) {
 	a.MulRange(x, y, 0, a.rows)
 }
 
+// checkRange panics unless [r0, r1) starts and ends on block-row
+// boundaries (or at the last row). The panic is built out of line so the
+// check inlines into the multiply.
+func (a *Mat[T, I]) checkRange(op string, r0, r1 int) {
+	if r := a.lay.R; r0%r != 0 || (r1%r != 0 && r1 != a.rows) {
+		misaligned(op, r0, r1, r)
+	}
+}
+
+func misaligned(op string, r0, r1, r int) {
+	panic(fmt.Sprintf("bcsr: %s [%d,%d) not aligned to block height %d", op, r0, r1, r))
+}
+
 // MulRange implements formats.Instance.
 func (a *Mat[T, I]) MulRange(x, y []T, r0, r1 int) {
-	r, c := a.r, a.c
-	if r0%r != 0 || (r1%r != 0 && r1 != a.rows) {
-		panic(fmt.Sprintf("bcsr: MulRange [%d,%d) not aligned to block height %d", r0, r1, r))
-	}
-	elems := r * c
+	a.checkRange("MulRange", r0, r1)
+	r, elems := a.lay.R, a.lay.Elems()
 	br0, br1 := r0/r, (r1+r-1)/r
 	for br := br0; br < br1; br++ {
 		lo, hi := int(a.browPtr[br]), int(a.browPtr[br+1])
@@ -286,61 +367,37 @@ func (a *Mat[T, I]) MulRange(x, y []T, r0, r1 int) {
 		rowStart := br * r
 		if rowStart+r <= a.rows {
 			a.kernel(bvals, bcols, x, y[rowStart:rowStart+r])
-		} else {
-			// Bottom-edge block row: the kernel would write r rows but
-			// fewer exist, so compute the surviving rows directly. At most
-			// one block row per matrix takes this path; routing it through
-			// the kernel would need a scratch output that escapes to the
-			// heap and costs an allocation on every MulRange call.
-			for k := range bcols {
-				col := int(bcols[k])
-				v := bvals[k*elems : (k+1)*elems]
-				for bi := 0; rowStart+bi < a.rows; bi++ {
-					var acc T
-					for bj := 0; bj < c; bj++ {
-						acc += v[bi*c+bj] * x[col+bj]
-					}
-					y[rowStart+bi] += acc
-				}
-			}
-		}
-	}
-	// Clipped path for right-edge blocks in range.
-	for ei, br := range a.edgeBRow {
-		if int(br) < br0 || int(br) >= br1 {
 			continue
 		}
-		col := int(a.edgeCol[ei])
-		v := a.edgeVal[ei*elems : (ei+1)*elems]
-		rowStart := int(br) * r
-		for bi := 0; bi < r && rowStart+bi < a.rows; bi++ {
-			var acc T
-			for bj := 0; bj < c && col+bj < a.cols; bj++ {
-				acc += v[bi*c+bj] * x[col+bj]
-			}
-			y[rowStart+bi] += acc
+		// Bottom-edge block row: the kernel would write r rows but fewer
+		// exist. At most one block row per matrix takes this path;
+		// routing it through the kernel would need a scratch output that
+		// escapes to the heap and costs an allocation on every call.
+		for b, s := range bcols {
+			a.clipped(bvals[b*elems:(b+1)*elems], int(s), rowStart, x, y)
+		}
+	}
+	for ei, br := range a.edgeBRow {
+		if int(br) >= br0 && int(br) < br1 {
+			a.clipped(a.edgeVal[ei*elems:(ei+1)*elems], int(a.edgeCol[ei]), int(br)*r, x, y)
 		}
 	}
 }
 
 // MulRangeMulti implements formats.Instance: the generated multi-RHS
 // kernel streams each interior block row once across the k-wide panel,
-// and the bottom/right edge paths mirror MulRange's clipped loops with
-// a per-column local accumulator, keeping every panel column
-// bit-identical to a single-vector MulRange.
+// and the bottom-edge block row and edge blocks take clippedMulti,
+// keeping every panel column bit-identical to a single-vector MulRange.
 func (a *Mat[T, I]) MulRangeMulti(x, y []T, k, r0, r1 int) {
 	if k == 0 {
 		return
 	}
-	r, c := a.r, a.c
-	if r0%r != 0 || (r1%r != 0 && r1 != a.rows) {
-		panic(fmt.Sprintf("bcsr: MulRangeMulti [%d,%d) not aligned to block height %d", r0, r1, r))
-	}
-	kern := kernels.RectMultiIx[T, I](r, c, a.impl, k)
+	a.checkRange("MulRangeMulti", r0, r1)
+	kern := kernels.ForShapeMultiIx[T, I](a.lay.Shape, a.impl, k)
 	if kern == nil {
-		kern = kernels.RectGenericMultiIx[T, I](r, c)
+		kern = kernels.GenericMultiIx[T, I](a.lay.Shape)
 	}
-	elems := r * c
+	r, elems := a.lay.R, a.lay.Elems()
 	br0, br1 := r0/r, (r1+r-1)/r
 	for br := br0; br < br1; br++ {
 		lo, hi := int(a.browPtr[br]), int(a.browPtr[br+1])
@@ -352,39 +409,59 @@ func (a *Mat[T, I]) MulRangeMulti(x, y []T, k, r0, r1 int) {
 		rowStart := br * r
 		if rowStart+r <= a.rows {
 			kern(bvals, bcols, x, y[rowStart*k:(rowStart+r)*k], k)
-		} else {
-			// Bottom-edge block row, clipped as in MulRange.
-			for b := range bcols {
-				col := int(bcols[b])
-				v := bvals[b*elems : (b+1)*elems]
-				for bi := 0; rowStart+bi < a.rows; bi++ {
-					for l := 0; l < k; l++ {
-						var acc T
-						for bj := 0; bj < c; bj++ {
-							acc += v[bi*c+bj] * x[(col+bj)*k+l]
-						}
-						y[(rowStart+bi)*k+l] += acc
-					}
-				}
-			}
-		}
-	}
-	// Clipped path for right-edge blocks in range.
-	for ei, br := range a.edgeBRow {
-		if int(br) < br0 || int(br) >= br1 {
 			continue
 		}
-		col := int(a.edgeCol[ei])
-		v := a.edgeVal[ei*elems : (ei+1)*elems]
-		rowStart := int(br) * r
-		for bi := 0; bi < r && rowStart+bi < a.rows; bi++ {
-			for l := 0; l < k; l++ {
-				var acc T
-				for bj := 0; bj < c && col+bj < a.cols; bj++ {
-					acc += v[bi*c+bj] * x[(col+bj)*k+l]
-				}
-				y[(rowStart+bi)*k+l] += acc
+		for b, s := range bcols {
+			a.clippedMulti(bvals[b*elems:(b+1)*elems], int(s), rowStart, x, y, k)
+		}
+	}
+	for ei, br := range a.edgeBRow {
+		if int(br) >= br0 && int(br) < br1 {
+			a.clippedMulti(a.edgeVal[ei*elems:(ei+1)*elems], int(a.edgeCol[ei]), int(br)*r, x, y, k)
+		}
+	}
+}
+
+// clipped multiplies one block with values v and start column start,
+// whose first row is rowStart, against x, skipping rows past the matrix
+// bottom and columns outside [0, cols). Each row sums into a local
+// accumulator added to y once, the order of the unrolled kernels.
+func (a *Mat[T, I]) clipped(v []T, start, rowStart int, x, y []T) {
+	l := a.lay
+	i0, i1, n := l.window(start, a.cols)
+	i1 = min(i1, a.rows-rowStart)
+	if n == 1 {
+		// One column per row (every diagonal and R x 1 block): the
+		// product is the row's whole sum, and skipping the column loop
+		// keeps edge-heavy diagonal matrices as fast as a direct update.
+		for i := i0; i < i1; i++ {
+			y[rowStart+i] += v[i*l.C] * x[start+i*l.shift]
+		}
+		return
+	}
+	for i := i0; i < i1; i++ {
+		first := start + i*l.shift
+		acc := v[i*l.C] * x[first]
+		for j := 1; j < n; j++ {
+			acc += v[i*l.C+j] * x[first+j]
+		}
+		y[rowStart+i] += acc
+	}
+}
+
+// clippedMulti is clipped against the k-wide row-major panel x, with
+// one local accumulator per row and panel column.
+func (a *Mat[T, I]) clippedMulti(v []T, start, rowStart int, x, y []T, k int) {
+	l := a.lay
+	i0, i1, n := l.window(start, a.cols)
+	for i := i0; i < min(i1, a.rows-rowStart); i++ {
+		first := start + i*l.shift
+		for p := 0; p < k; p++ {
+			acc := v[i*l.C] * x[first*k+p]
+			for j := 1; j < n; j++ {
+				acc += v[i*l.C+j] * x[(first+j)*k+p]
 			}
+			y[(rowStart+i)*k+p] += acc
 		}
 	}
 }
@@ -395,26 +472,11 @@ var (
 	_ formats.Instance[float32] = (*Mat[float32, uint8])(nil)
 )
 
-// searchInt32From finds the edge block with block row br and start column
-// col by scanning backwards (edge blocks of the current block row are
-// always at the tail during construction).
-func searchInt32From(cols, brows []int32, br, col int32) (int, bool) {
-	for i := len(cols) - 1; i >= 0 && brows[i] == br; i-- {
-		if cols[i] == col {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
 // WithImpl implements formats.Instance: a view over the same arrays with
 // a different kernel implementation class.
 func (a *Mat[T, I]) WithImpl(impl blocks.Impl) formats.Instance[T] {
 	b := *a
 	b.impl = impl
-	b.kernel = kernels.RectIx[T, I](b.r, b.c, impl)
-	if b.kernel == nil {
-		b.kernel = kernels.RectGenericIx[T, I](b.r, b.c)
-	}
+	b.kernel = kernelFor[T, I](b.lay.Shape, impl)
 	return &b
 }

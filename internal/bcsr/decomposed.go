@@ -11,10 +11,11 @@ import (
 	"blockspmv/internal/mat"
 )
 
-// Dec is the BCSR-DEC format: the input matrix split into a blocked
-// submatrix holding only completely dense (unpadded) r x c aligned blocks
-// and a CSR submatrix holding the remainder elements (Section II.B,
-// k = 2). Both components store their column indices as I.
+// Dec is the decomposed fixed-block format (BCSR-DEC or BCSD-DEC): the
+// input matrix split into a blocked submatrix holding only completely
+// dense (unpadded) aligned blocks and a CSR submatrix holding the
+// remainder elements (Section II.B, k = 2). Both components store their
+// column indices as I.
 type Dec[T floats.Float, I idx.Index] struct {
 	blocked *Mat[T, I]
 	rem     *csr.Mat[T, I]
@@ -26,18 +27,26 @@ type Decomposed[T floats.Float] = Dec[T, int32]
 
 // NewDecomposed converts a finalized coordinate matrix to BCSR-DEC.
 func NewDecomposed[T floats.Float](m *mat.COO[T], r, c int, impl blocks.Impl) *Decomposed[T] {
-	return NewDecomposedIx[T, int32](m, r, c, impl)
+	return NewShapeDecomposed[T, int32](m, blocks.RectShape(r, c), impl)
 }
 
-// NewDecomposedIx is NewDecomposed with column indices stored as I in
-// both the blocked part and the CSR remainder.
-func NewDecomposedIx[T floats.Float, I idx.Index](m *mat.COO[T], r, c int, impl blocks.Impl) *Dec[T, I] {
+// NewDecomposedCompact converts a finalized coordinate matrix to
+// BCSR-DEC with the narrowest column-index type the matrix width
+// permits.
+func NewDecomposedCompact[T floats.Float](m *mat.COO[T], r, c int, impl blocks.Impl) formats.Instance[T] {
+	return NewShapeDecomposedCompact(m, blocks.RectShape(r, c), impl)
+}
+
+// NewShapeDecomposed converts a finalized coordinate matrix to the
+// decomposed format of shape s, with column indices stored as I in both
+// the blocked part and the CSR remainder.
+func NewShapeDecomposed[T floats.Float, I idx.Index](m *mat.COO[T], s blocks.Shape, impl blocks.Impl) *Dec[T, I] {
 	if !m.Finalized() {
 		panic("bcsr: matrix must be finalized")
 	}
-	full, rem := SplitFullBlocks(m, r, c)
+	full, rem := SplitShape(m, s)
 	d := &Dec[T, I]{
-		blocked: NewIx[T, I](full, r, c, impl),
+		blocked: NewShape[T, I](full, s, impl),
 		rem:     csr.FromCOOIx[T, I](rem, impl),
 	}
 	if p := d.blocked.Padding(); p != 0 {
@@ -46,57 +55,63 @@ func NewDecomposedIx[T floats.Float, I idx.Index](m *mat.COO[T], r, c int, impl 
 	return d
 }
 
-// NewDecomposedCompact converts a finalized coordinate matrix to
-// BCSR-DEC with the narrowest column-index type the matrix width
-// permits.
-func NewDecomposedCompact[T floats.Float](m *mat.COO[T], r, c int, impl blocks.Impl) formats.Instance[T] {
+// NewShapeDecomposedCompact is NewShapeDecomposed with the narrowest
+// column-index type the matrix width permits.
+func NewShapeDecomposedCompact[T floats.Float](m *mat.COO[T], s blocks.Shape, impl blocks.Impl) formats.Instance[T] {
 	switch idx.FitsCols(m.Cols()) {
 	case idx.W8:
-		return NewDecomposedIx[T, uint8](m, r, c, impl)
+		return NewShapeDecomposed[T, uint8](m, s, impl)
 	case idx.W16:
-		return NewDecomposedIx[T, uint16](m, r, c, impl)
+		return NewShapeDecomposed[T, uint16](m, s, impl)
 	default:
-		return NewDecomposedIx[T, int32](m, r, c, impl)
+		return NewShapeDecomposed[T, int32](m, s, impl)
 	}
 }
 
 // SplitFullBlocks partitions the entries of m into a matrix containing
 // exactly the completely dense aligned r x c blocks and a matrix with
-// everything else. Both results are finalized. It is the extraction step
-// of BCSR-DEC, exported for the multi-pattern decomposition.
+// everything else. Both results are finalized.
 func SplitFullBlocks[T floats.Float](m *mat.COO[T], r, c int) (full, rem *mat.COO[T]) {
+	return SplitShape(m, blocks.RectShape(r, c))
+}
+
+// SplitShape partitions the entries of m into a matrix containing exactly
+// the completely dense interior blocks of shape s and a matrix with
+// everything else. Both results are finalized. It is the extraction step
+// of the decomposed formats, exported for the multi-pattern
+// decomposition.
+func SplitShape[T floats.Float](m *mat.COO[T], s blocks.Shape) (full, rem *mat.COO[T]) {
 	entries := m.Entries()
 	rows, cols := m.Rows(), m.Cols()
-	elems := r * c
+	l := layoutOf(s)
+	elems := l.Elems()
 
 	fullM := mat.New[T](rows, cols)
 	remM := mat.New[T](rows, cols)
 
-	// Process one block row at a time: count entries per aligned block,
-	// then route each entry by whether its block is full.
+	// Process one block row at a time: count entries per block, then
+	// route each entry by whether its block is full.
 	counts := make(map[int32]int)
-	for start := 0; start < len(entries); {
-		br := int(entries[start].Row) / r
-		end := start
-		for end < len(entries) && int(entries[end].Row)/r == br {
-			end++
+	for lo := 0; lo < len(entries); {
+		br := int(entries[lo].Row) / l.R
+		hi := lo
+		for hi < len(entries) && int(entries[hi].Row)/l.R == br {
+			hi++
 		}
-		interiorRows := (br+1)*r <= rows
+		interiorRows := (br+1)*l.R <= rows
 		clear(counts)
-		for i := start; i < end; i++ {
-			counts[entries[i].Col/int32(c)]++
+		for _, e := range entries[lo:hi] {
+			counts[l.start(e.Row, e.Col, br)]++
 		}
-		for i := start; i < end; i++ {
-			e := entries[i]
-			bc := e.Col / int32(c)
-			isFull := interiorRows && counts[bc] == elems && int(bc+1)*c <= cols
-			if isFull {
+		for _, e := range entries[lo:hi] {
+			st := l.start(e.Row, e.Col, br)
+			if interiorRows && counts[st] == elems && l.interior(st, cols) {
 				fullM.Add(e.Row, e.Col, e.Val)
 			} else {
 				remM.Add(e.Row, e.Col, e.Val)
 			}
 		}
-		start = end
+		lo = hi
 	}
 	fullM.Finalize()
 	remM.Finalize()
@@ -113,13 +128,7 @@ func (d *Dec[T, I]) Remainder() *csr.Mat[T, I] { return d.rem }
 func (d *Dec[T, I]) Shape() blocks.Shape { return d.blocked.Shape() }
 
 // Name implements formats.Instance.
-func (d *Dec[T, I]) Name() string {
-	n := fmt.Sprintf("BCSR-DEC(%dx%d)", d.blocked.r, d.blocked.c) + idx.Of[I]().Suffix()
-	if d.blocked.impl == blocks.Vector {
-		n += "/simd"
-	}
-	return n
-}
+func (d *Dec[T, I]) Name() string { return d.blocked.name("-DEC") }
 
 // Rows implements formats.Instance.
 func (d *Dec[T, I]) Rows() int { return d.blocked.Rows() }
@@ -149,7 +158,7 @@ func (d *Dec[T, I]) Components() []formats.Component {
 }
 
 // RowAlign implements formats.Instance.
-func (d *Dec[T, I]) RowAlign() int { return d.blocked.r }
+func (d *Dec[T, I]) RowAlign() int { return d.blocked.RowAlign() }
 
 // RowWeights implements formats.Instance.
 func (d *Dec[T, I]) RowWeights() []int64 {

@@ -77,15 +77,7 @@ func TestMatrixBytesMatchesAllocation(t *testing.T) {
 		insts := []formats.Instance[float64]{
 			csr.FromCOO(m, blocks.Scalar),
 			csr.NewCompact(m, blocks.Scalar),
-			bcsr.New(m, 2, 3, blocks.Scalar),
-			bcsr.NewCompact(m, 2, 3, blocks.Scalar),
-			bcsr.NewDecomposed(m, 4, 2, blocks.Vector),
-			bcsr.NewDecomposedCompact(m, 4, 2, blocks.Vector),
 			ubcsr.New(m, 2, 4, blocks.Scalar),
-			bcsd.New(m, 4, blocks.Scalar),
-			bcsd.NewCompact(m, 4, blocks.Scalar),
-			bcsd.NewDecomposed(m, 8, blocks.Scalar),
-			bcsd.NewDecomposedCompact(m, 8, blocks.Scalar),
 			vbl.New(m, blocks.Scalar),
 			vbl.NewWide(m, blocks.Scalar),
 			vbl.NewDP(m, blocks.Scalar),
@@ -94,6 +86,23 @@ func TestMatrixBytesMatchesAllocation(t *testing.T) {
 			csrdu.New(m, blocks.Scalar),
 			dcsr.New(m),
 			multidec.New(m, 2, 2, 4, blocks.Scalar),
+		}
+		// Every fixed block shape, padded and decomposed, at the 4-byte
+		// and the compact index width: the shared BCSR/BCSD storage must
+		// account for every array at every shape.
+		for _, s := range blocks.RectShapes() {
+			insts = append(insts,
+				bcsr.New(m, s.R, s.C, blocks.Scalar),
+				bcsr.NewCompact(m, s.R, s.C, blocks.Scalar),
+				bcsr.NewDecomposed(m, s.R, s.C, blocks.Vector),
+				bcsr.NewDecomposedCompact(m, s.R, s.C, blocks.Vector))
+		}
+		for _, s := range blocks.DiagShapes() {
+			insts = append(insts,
+				bcsd.New(m, s.R, blocks.Scalar),
+				bcsd.NewCompact(m, s.R, blocks.Scalar),
+				bcsd.NewDecomposed(m, s.R, blocks.Vector),
+				bcsd.NewDecomposedCompact(m, s.R, blocks.Vector))
 		}
 		for _, inst := range insts {
 			got := inst.MatrixBytes()

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"blockspmv/internal/bcsd"
 	"blockspmv/internal/bcsr"
 	"blockspmv/internal/csr"
 	"blockspmv/internal/csrdu"
@@ -45,14 +44,10 @@ func Instantiate[T floats.Float](m *mat.COO[T], c Candidate) formats.Instance[T]
 			return csr.NewCompact(m, c.Impl)
 		case SELL:
 			return sell.NewCompact(m, c.Chunk, c.Sigma, c.Impl)
-		case BCSR:
-			return bcsr.NewCompact(m, c.Shape.R, c.Shape.C, c.Impl)
-		case BCSRDec:
-			return bcsr.NewDecomposedCompact(m, c.Shape.R, c.Shape.C, c.Impl)
-		case BCSD:
-			return bcsd.NewCompact(m, c.Shape.R, c.Impl)
-		case BCSDDec:
-			return bcsd.NewDecomposedCompact(m, c.Shape.R, c.Impl)
+		case BCSR, BCSD:
+			return bcsr.NewShapeCompact(m, c.Shape, c.Impl)
+		case BCSRDec, BCSDDec:
+			return bcsr.NewShapeDecomposedCompact(m, c.Shape, c.Impl)
 		}
 	}
 	switch c.Method {
@@ -60,14 +55,10 @@ func Instantiate[T floats.Float](m *mat.COO[T], c Candidate) formats.Instance[T]
 		return csr.FromCOO(m, c.Impl)
 	case SELL:
 		return sell.New(m, c.Chunk, c.Sigma, c.Impl)
-	case BCSR:
-		return bcsr.New(m, c.Shape.R, c.Shape.C, c.Impl)
-	case BCSRDec:
-		return bcsr.NewDecomposed(m, c.Shape.R, c.Shape.C, c.Impl)
-	case BCSD:
-		return bcsd.New(m, c.Shape.R, c.Impl)
-	case BCSDDec:
-		return bcsd.NewDecomposed(m, c.Shape.R, c.Impl)
+	case BCSR, BCSD:
+		return bcsr.NewShape[T, int32](m, c.Shape, c.Impl)
+	case BCSRDec, BCSDDec:
+		return bcsr.NewShapeDecomposed[T, int32](m, c.Shape, c.Impl)
 	default:
 		panic(fmt.Sprintf("core: cannot instantiate %v", c))
 	}

@@ -6,6 +6,7 @@ import (
 
 	"blockspmv/internal/blocks"
 	"blockspmv/internal/csrdu"
+	"blockspmv/internal/floats"
 	"blockspmv/internal/mat"
 	"blockspmv/internal/partition"
 	"blockspmv/internal/sell"
@@ -344,4 +345,17 @@ func EnumerateStatsAll(p *mat.Pattern, valSize int) []CandidateStats {
 		}
 	}
 	return out
+}
+
+// SafeStats is EnumerateStatsAll over the pattern of m with its value
+// size, under a recover backstop: a structurally corrupt matrix yields an
+// empty candidate set, which the safe selection paths (RankSafe,
+// SelectSafe) turn into a degraded CSR prediction rather than a crash.
+func SafeStats[T floats.Float](m *mat.COO[T]) (stats []CandidateStats) {
+	defer func() {
+		if recover() != nil {
+			stats = nil
+		}
+	}()
+	return EnumerateStatsAll(mat.PatternOf(m), floats.SizeOf[T]())
 }

@@ -220,6 +220,15 @@ func DiagGenericMultiIx[T floats.Float, I idx.Index](b int) BlockRowMultiKernelI
 	}
 }
 
+// GenericMultiIx returns the loop-based multi-RHS kernel for any valid
+// shape and index width.
+func GenericMultiIx[T floats.Float, I idx.Index](s blocks.Shape) BlockRowMultiKernelIx[T, I] {
+	if s.Kind == blocks.Diag {
+		return DiagGenericMultiIx[T, I](s.R)
+	}
+	return RectGenericMultiIx[T, I](s.R, s.C)
+}
+
 // SellGenericIx returns a loop-based SELL slice kernel for an arbitrary
 // chunk height c, the correctness baseline for the generated slice
 // kernels and the fallback for chunk heights outside the generated set.

@@ -18,7 +18,6 @@ import (
 	"io"
 	"math"
 
-	"blockspmv/internal/bcsd"
 	"blockspmv/internal/bcsr"
 	"blockspmv/internal/blocks"
 	"blockspmv/internal/csr"
@@ -140,10 +139,8 @@ func buildDense[T floats.Float](d *mat.COO[T], k Key) formats.Instance[T] {
 		return sell.New(d, profileSellChunk, 1, k.Impl)
 	case k.Shape.IsUnit():
 		return csr.FromCOO(d, k.Impl)
-	case k.Shape.Kind == blocks.Diag:
-		return bcsd.New(d, k.Shape.R, k.Impl)
 	default:
-		return bcsr.New(d, k.Shape.R, k.Shape.C, k.Impl)
+		return bcsr.NewShape[T, int32](d, k.Shape, k.Impl)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"blockspmv/internal/blocks"
 	"blockspmv/internal/core"
 	"blockspmv/internal/csr"
-	"blockspmv/internal/floats"
 	"blockspmv/internal/formats"
 	"blockspmv/internal/machine"
 	"blockspmv/internal/mat"
@@ -278,7 +277,7 @@ func (g *Registry) tune(name string, m *mat.COO[float64]) (Info, formats.Instanc
 	// Price candidates for the traffic the batcher creates: the matrix
 	// stream once per panel of up to BatchMax vectors.
 	rhs := g.cfg.BatchMax
-	pred := core.SelectSafe(g.cfg.Model, core.WithRHS(safeStats(m), rhs), g.cfg.Mach, g.cfg.Prof)
+	pred := core.SelectSafe(g.cfg.Model, core.WithRHS(core.SafeStats(m), rhs), g.cfg.Mach, g.cfg.Prof)
 	inst, err := buildInstance(m, pred.Cand)
 	if err != nil {
 		pred = core.Prediction{Degraded: true, Reason: err.Error()}
@@ -615,18 +614,6 @@ func (g *Registry) Close() {
 		b.close()
 	}
 	g.wg.Wait()
-}
-
-// safeStats enumerates candidate statistics under a recover backstop,
-// mirroring the facade: a structurally corrupt matrix yields an empty
-// set, which SelectSafe turns into the degraded CSR prediction.
-func safeStats(m *mat.COO[float64]) (stats []core.CandidateStats) {
-	defer func() {
-		if recover() != nil {
-			stats = nil
-		}
-	}()
-	return core.EnumerateStatsAll(mat.PatternOf(m), floats.SizeOf[float64]())
 }
 
 // buildInstance instantiates the selected candidate under a recover
